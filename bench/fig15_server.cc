@@ -182,7 +182,7 @@ ArmResult RunLoadArm(const std::string& backend, const std::string& dir,
 
 // Chaos arm: one client streaming multi-chunk saves through the daemon while the socket
 // injector drops the connection mid-WRITE every op. What the arm measures is the
-// *resume economics* of the v3 protocol: after each drop the client reconnects under its
+// *resume economics* of the wire protocol: after each drop the client reconnects under its
 // lease, asks WRITE_RESUME how far the server got, and re-sends only the tail. The
 // store.client metric deltas split the traffic into resumed (acknowledged, not re-sent)
 // vs restarted (sent before the drop, then sent again) bytes — the survivability
@@ -283,16 +283,16 @@ Json ChaosArmJson(const ChaosResult& r) {
   return Json(std::move(arm));
 }
 
-// Guardrail: wire v4 trace propagation (client RPC spans, the TRACE_CONTEXT header, and
+// Guardrail: wire trace propagation (client RPC spans, the TRACE_CONTEXT header, and
 // the daemon's per-request handling spans) must stay invisible on the remote save path.
 // Same deterministic method as fig11's check — a wall-clock A/B at this scale reads
 // socket and fsync jitter, not the tracer:
 //
 //   1. per-span cost  — tight trivial-span loop, traced minus runtime-disabled, min over
 //                       batches;
-//   2. spans per save — ring-event delta around one traced remote save (counts BOTH
-//                       sides: the daemon is in-process, so its handling spans land in
-//                       the same rings);
+//   2. spans per save — delta of the process-wide monotone event counter
+//                       (obs::TraceEventsRecorded) around one traced remote save (counts
+//                       BOTH sides: the daemon is in-process);
 //   3. overhead       = spans_per_save * per_span_cost / untraced remote-save floor.
 //
 // Bound: 2%, matching fig11. Real checkpoints only grow the denominator.
@@ -320,13 +320,6 @@ Json RunRemoteTracerOverheadCheck(const StoreServer* server) {
     UCP_CHECK((*store)->CommitTag(tag, meta_json).ok());
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
-  auto events_recorded = [] {
-    uint64_t total = 0;
-    for (const obs::ThreadTrace& t : obs::CollectThreadTraces()) {
-      total += t.dropped + t.events.size();
-    }
-    return total;
-  };
   auto span_batch_seconds = [] {
     double best = std::numeric_limits<double>::infinity();
     for (int b = 0; b < kBatches; ++b) {
@@ -351,16 +344,19 @@ Json RunRemoteTracerOverheadCheck(const StoreServer* server) {
   }
 
   obs::SetTraceEnabled(true);
-  const uint64_t before = events_recorded();
+  const uint64_t before = obs::TraceEventsRecorded();
   const double traced_save = save_seconds(5);
-  const uint64_t spans_per_save = events_recorded() - before;
+  const uint64_t spans_per_save = obs::TraceEventsRecorded() - before;
   obs::SetTraceEnabled(was_enabled);
 
   const double per_span =
       std::max(0.0, (traced_batch - disabled_batch) / kSpansPerBatch);
   const double tracer_seconds = static_cast<double>(spans_per_save) * per_span;
   const double overhead = untraced_save > 0.0 ? tracer_seconds / untraced_save : 0.0;
-  const bool within = overhead < kRelativeBound;
+  // A traced save that counted no spans proves nothing about the tracer's cost: with
+  // tracing compiled in and switched on, zero is a broken count, not a pass.
+  const bool counted = spans_per_save > 0 || !UCP_OBS_ENABLED;
+  const bool within = counted && overhead < kRelativeBound;
   std::printf(
       "fig15/tracer_overhead/remote span=%.0fns spans/save=%llu tracer=%.3fms "
       "save=%.3fms overhead=%.3f%% %s\n",

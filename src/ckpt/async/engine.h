@@ -62,9 +62,9 @@ struct AsyncCheckpointOptions {
   // Incremental flushes: shard files become chunk-manifest + content-addressed chunk
   // objects, and only chunks whose content changed since the last committed save are
   // written (unchanged chunks are recorded as by-reference extents against the parent
-  // tag). Falls back to full-file writes when the backend can't do chunked staging (a v1
-  // ucp_serverd). Read paths resolve manifests transparently, so loads/fsck/resume are
-  // unchanged either way.
+  // tag). Both store backends stage chunked; a StoreWriter without chunked staging gets
+  // full-file writes. Read paths resolve manifests transparently, so loads/fsck/resume
+  // are unchanged either way.
   bool incremental = false;
   // With incremental: LZ-compress each dirty chunk before it is written/shipped, with an
   // incompressibility bailout (a chunk that doesn't shrink by >= 1/16 stays raw).

@@ -17,6 +17,7 @@ namespace {
 std::atomic<bool> g_trace_enabled{true};
 std::atomic<size_t> g_ring_capacity{8192};
 std::atomic<size_t> g_orphan_ring_limit{512};
+std::atomic<uint64_t> g_events_recorded{0};  // monotone; see TraceEventsRecorded()
 
 uint64_t MonotonicNs() {
   return static_cast<uint64_t>(
@@ -128,6 +129,7 @@ std::vector<TraceEvent> LinearizeLocked(Ring& ring) {
 }
 
 void Record(ThreadState& state, TraceEvent&& ev) {
+  g_events_recorded.fetch_add(1, std::memory_order_relaxed);
   Ring& ring = *state.ring;
   const size_t capacity = g_ring_capacity.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(ring.mu);
@@ -294,6 +296,10 @@ void ResetTrace() {
     ring->size = 0;
     ring->dropped = 0;
   }
+}
+
+uint64_t TraceEventsRecorded() {
+  return g_events_recorded.load(std::memory_order_relaxed);
 }
 
 uint64_t TraceNowNs() {

@@ -122,6 +122,12 @@ size_t TraceRingCount();
 // Drops every recorded event (all threads). Buffers and thread registrations survive.
 void ResetTrace();
 
+// Events recorded by this process so far, whether still held, overwritten by ring
+// wraparound, dropped at capacity 0, or shed with an exited thread's ring. Monotone:
+// neither ResetTrace() nor ring shedding moves it back, so the difference of two reads
+// counts exactly the events recorded in between.
+uint64_t TraceEventsRecorded();
+
 // ---- Recorded data ---------------------------------------------------------------------
 
 struct TraceEvent {

@@ -414,26 +414,6 @@ Result<std::vector<std::string>> ListAllCheckpointTags(const std::string& dir) {
   return tags;
 }
 
-Status PruneCheckpoints(const std::string& dir, int keep_last) {
-  if (keep_last < 1) {
-    return InvalidArgumentError("keep_last must be >= 1");
-  }
-  UCP_ASSIGN_OR_RETURN(std::vector<std::string> tags, ListCheckpointTags(dir));
-  std::string latest;
-  if (Result<std::string> latest_tag = ReadLatestTag(dir); latest_tag.ok()) {
-    latest = *latest_tag;
-  }
-  int excess = static_cast<int>(tags.size()) - keep_last;
-  for (int i = 0; i < static_cast<int>(tags.size()) && excess > 0; ++i) {
-    if (tags[static_cast<size_t>(i)] == latest) {
-      continue;
-    }
-    UCP_RETURN_IF_ERROR(RemoveAll(PathJoin(dir, tags[static_cast<size_t>(i)])));
-    --excess;
-  }
-  return OkStatus();
-}
-
 Result<GcReport> GcCheckpoints(const std::string& dir, int keep_last, bool dry_run,
                                const std::string& job) {
   return LocalStore(dir).Gc(job, keep_last, dry_run);

@@ -97,15 +97,11 @@ Result<std::vector<std::string>> ListCheckpointTags(const std::string& dir,
 // must stay namespace-scoped.
 Result<std::vector<std::string>> ListAllCheckpointTags(const std::string& dir);
 
-// Retention: deletes the oldest checkpoints so at most `keep_last` tags remain. The tag
-// named by `latest` is never deleted. Call from one process only (e.g. rank 0 after save).
-Status PruneCheckpoints(const std::string& dir, int keep_last);
-
-// Retention policy for steady-state training (`ucp_tool gc`, AsyncCheckpointOptions
-// .keep_last). Unlike PruneCheckpoints it only counts *committed* tags toward the keep
-// budget and never touches uncommitted tags or `.staging` debris — those belong to
-// crashed-save recovery (fsck / the next save), and a tag mid-commit by a concurrent
-// flusher must not be swept. Scoped to `job`'s namespace: tags and the `latest` guard of
+// The retention policy (`ucp_tool gc`, AsyncCheckpointOptions.keep_last): keeps the newest
+// `keep_last` (>= 1) tags. Only *committed* tags count toward the keep budget, and
+// uncommitted tags and `.staging` debris are never touched — those belong to crashed-save
+// recovery (fsck / the next save), and a tag mid-commit by a concurrent flusher must not
+// be swept. Scoped to `job`'s namespace: tags and the `latest` guard of
 // other jobs sharing the store are invisible to it. Never deletes the tag the job's
 // `latest` names, nor the newest tag whose metadata still reads back — when every tag in
 // the keep window is damaged, that older tag is the job's only resume point and outlives

@@ -67,7 +67,7 @@ int64_t NowWallMs() {
       .count();
 }
 
-// `retry_after_ms` > 0 appends the v3 retry hint; older clients ignore the trailing bytes.
+// `retry_after_ms` > 0 appends the retry-after hint as trailing bytes.
 Status SendError(int fd, const Status& error, uint32_t retry_after_ms = 0) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(error.code()));
@@ -173,23 +173,23 @@ obs::Histogram& RpcBytesInFor(WireOp op) {
 
 }  // namespace
 
-// Read handles carry the file's v3 chunk index so READ_RANGE responses are verified
+// Read handles carry the file's chunk index so READ_RANGE responses are verified
 // *before* any payload byte crosses the wire — a client never sees bytes the server knows
 // are rotten. Each chunk verifies at most once per handle (same memoization the local
 // views use).
 struct StoreServer::OpenRead {
   std::unique_ptr<ByteSource> source;
   std::string rel;
-  // nullopt: legacy v1/v2 or non-container file — served unverified (the client's own
-  // whole-file CRC checks still apply).
+  // nullopt: a non-container file, or a container whose version field is not the current
+  // one — served unverified (the client's own checks still apply and classify it).
   std::optional<FileChunkIndex> index;
   std::vector<std::vector<bool>> verified;  // parallel to index->regions
 };
 
 // What the admission budget and chunk pins are attributed to. Every session holds exactly
-// one lease: an *implicit* one (empty token) that dies with the connection — the v1/v2
-// semantics — or a *named* one (SESSION_OPEN) that survives socket death until its TTL
-// lapses, so a reconnecting client can re-adopt its staged state. All fields are guarded
+// one lease: an *implicit* one (empty token, a session that never SESSION_OPENs) that dies
+// with the connection, or a *named* one (SESSION_OPEN) that survives socket death until
+// its TTL lapses, so a reconnecting client can re-adopt its staged state. All fields are guarded
 // by StoreServer::mu_ except expires_at_ms, which the serving thread refreshes per frame
 // and the reaper polls.
 struct StoreServer::Lease {
@@ -221,9 +221,6 @@ struct StoreServer::Lease {
 struct StoreServer::Session {
   uint64_t id = 0;
   int fd = -1;
-  // Negotiated at HELLO: min(server max, client max). Chunk ops require >= 2, lease and
-  // resume ops >= 3.
-  uint32_t version = 0;
   std::shared_ptr<Lease> lease;  // never null once the session is registered
   uint64_t ops = 0;
 
@@ -243,7 +240,7 @@ struct StoreServer::Session {
   uint64_t next_handle = 1;
   std::map<uint64_t, OpenRead> reads;
 
-  // Wire v4 trace context (TRACE_CONTEXT prefix frame): annotates the *next* request
+  // Wire trace context (TRACE_CONTEXT prefix frame): annotates the *next* request
   // frame on this connection, then clears. Only the serving thread touches it.
   uint64_t pending_trace_id = 0;
   uint64_t pending_span_id = 0;
@@ -471,18 +468,16 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
         SendError(fd, InvalidArgumentError("malformed HELLO")).ok();
         break;
       }
-      const uint32_t server_max = std::min(kWireVersion, options_.max_wire_version);
-      if (*max_v < kWireMinVersion || *min_v > server_max) {
+      if (*min_v > kWireVersion || *max_v < kWireVersion) {
         SendError(fd, FailedPreconditionError(
                           "no common protocol version: server speaks v" +
-                          std::to_string(kWireMinVersion) + "..v" +
-                          std::to_string(server_max)))
+                          std::to_string(kWireVersion) + ", client offers v" +
+                          std::to_string(*min_v) + "..v" + std::to_string(*max_v)))
             .ok();
         break;
       }
-      session->version = std::min(server_max, *max_v);
       ByteWriter w;
-      w.PutU32(session->version);
+      w.PutU32(kWireVersion);
       w.PutU64(session->id);
       w.PutU32(kMaxFramePayload);
       if (!SendFrame(fd, WireOp::kHelloOk, w.buffer()).ok()) {
@@ -511,7 +506,7 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
     if (lease != nullptr &&
         (!lease->named() || lease->bound_session == session->id)) {
       if (!lease->named() || NowWallMs() >= lease->expires_at_ms.load()) {
-        // Implicit lease (v1/v2 semantics) or a named lease that already outlived its
+        // Implicit lease (no SESSION_OPEN) or a named lease that already outlived its
         // TTL while the socket lingered: budget and pins free now. Staged/spooled files
         // stay — inert debris the next save's ResetTagStaging or a sweep clears.
         ReleaseLeaseLocked(*lease);
@@ -787,10 +782,7 @@ Status StoreServer::HandleWriteBegin(const WireFrame& frame, Session& session) {
   UCP_ASSIGN_OR_RETURN(std::string tag, r.GetString());
   UCP_ASSIGN_OR_RETURN(std::string rel, r.GetString());
   UCP_ASSIGN_OR_RETURN(uint64_t total, r.GetU64());
-  uint64_t resume = 0;
-  if (session.version >= 3 && r.remaining() >= sizeof(uint64_t)) {
-    UCP_ASSIGN_OR_RETURN(resume, r.GetU64());
-  }
+  UCP_ASSIGN_OR_RETURN(uint64_t resume, r.GetU64());
   if (!IsSafeStoreName(tag) || !IsSafeStoreRelPath(rel)) {
     return InvalidArgumentError("bad tag or file name in WRITE_BEGIN");
   }
@@ -915,15 +907,10 @@ Status StoreServer::HandleWriteChunk(const WireFrame& frame, Session& session) {
   if (!session.write_open) {
     return FailedPreconditionError("WRITE_CHUNK without WRITE_BEGIN");
   }
-  const uint8_t* data = frame.payload.data();
-  size_t n = frame.payload.size();
-  uint64_t offset = session.write_spooled;
-  if (session.version >= 3) {
-    ByteReader r(data, n);
-    UCP_ASSIGN_OR_RETURN(offset, r.GetU64());
-    data += sizeof(uint64_t);
-    n -= sizeof(uint64_t);
-  }
+  ByteReader r(frame.payload.data(), frame.payload.size());
+  UCP_ASSIGN_OR_RETURN(uint64_t offset, r.GetU64());
+  const uint8_t* data = frame.payload.data() + sizeof(uint64_t);
+  size_t n = frame.payload.size() - sizeof(uint64_t);
   if (offset > session.write_spooled) {
     return DataLossError("write stream gap for " + session.write_rel + ": chunk at " +
                          std::to_string(offset) + ", spooled " +
@@ -1152,14 +1139,9 @@ Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame
 }
 
 bool StoreServer::HandleFrame(int fd, const WireFrame& frame, Session& session) {
-  // v4 TRACE_CONTEXT prefix frame: stash the client's (trace_id, parent_span_id) for the
-  // next request on this connection; no response frame. On a pre-v4 session it is a
-  // protocol violation (the client would never have sent it).
+  // TRACE_CONTEXT prefix frame: stash the client's (trace_id, parent_span_id) for the
+  // next request on this connection; no response frame.
   if (frame.op == WireOp::kTraceContext) {
-    if (session.version < 4) {
-      SendError(fd, FailedPreconditionError("TRACE_CONTEXT requires protocol v4")).ok();
-      return false;
-    }
     ByteReader r(frame.payload.data(), frame.payload.size());
     Result<uint64_t> trace_id = r.GetU64();
     Result<uint64_t> span_id =
@@ -1422,10 +1404,6 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       break;
     }
     case WireOp::kChunkQuery: {
-      if (session.version < 2) {
-        status = FailedPreconditionError("CHUNK_QUERY requires protocol v2");
-        break;
-      }
       ByteReader r(frame.payload.data(), frame.payload.size());
       Result<std::string> tag = r.GetString();
       Result<uint32_t> count = tag.ok() ? r.GetU32() : Result<uint32_t>(tag.status());
@@ -1495,10 +1473,6 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       break;
     }
     case WireOp::kChunkPut: {
-      if (session.version < 2) {
-        status = FailedPreconditionError("CHUNK_PUT requires protocol v2");
-        break;
-      }
       // Chunk puts deliberately bypass the staged-bytes admission budget: each put is
       // bounded by the frame cap, decode-verified, and written straight to the index with
       // no server-side accumulation — there is no declared-total buffer to defend, unlike
@@ -1519,10 +1493,6 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       break;
     }
     case WireOp::kSessionOpen: {
-      if (session.version < 3) {
-        status = FailedPreconditionError("SESSION_OPEN requires protocol v3");
-        break;
-      }
       payload = HandleSessionOpen(frame, session);
       if (!payload.ok()) {
         status = payload.status();
@@ -1531,10 +1501,6 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       break;
     }
     case WireOp::kSessionRenew: {
-      if (session.version < 3) {
-        status = FailedPreconditionError("SESSION_RENEW requires protocol v3");
-        break;
-      }
       if (!session.lease->named()) {
         status = FailedPreconditionError("SESSION_RENEW without a lease");
         break;
@@ -1548,10 +1514,6 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       break;
     }
     case WireOp::kWriteResume: {
-      if (session.version < 3) {
-        status = FailedPreconditionError("WRITE_RESUME requires protocol v3");
-        break;
-      }
       payload = HandleWriteResume(frame);
       if (!payload.ok()) {
         status = payload.status();
@@ -1561,7 +1523,7 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
     }
     case WireOp::kServerStat: {
       ByteWriter w;
-      w.PutU32(std::min(kWireVersion, options_.max_wire_version));
+      w.PutU32(kWireVersion);
       {
         std::lock_guard<std::mutex> lock(mu_);
         w.PutU32(static_cast<uint32_t>(sessions_.size()));
@@ -1578,10 +1540,6 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       break;
     }
     case WireOp::kMetricsDump: {
-      if (session.version < 4) {
-        status = FailedPreconditionError("METRICS_DUMP requires protocol v4");
-        break;
-      }
       ByteReader r(frame.payload.data(), frame.payload.size());
       Result<uint8_t> format = r.GetU8();
       if (!format.ok()) {
@@ -1695,8 +1653,7 @@ void StoreServer::HttpLoop() {
         }
         h["staged_bytes"] = static_cast<int64_t>(staged_bytes_.load());
         h["journal_seq"] = static_cast<int64_t>(journal_seq_.load());
-        h["wire_version"] =
-            static_cast<int64_t>(std::min(kWireVersion, options_.max_wire_version));
+        h["wire_version"] = static_cast<int64_t>(kWireVersion);
         body = Json(std::move(h)).Dump() + "\n";
         content_type = "application/json";
       } else if (path == "/metrics") {

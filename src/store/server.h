@@ -19,15 +19,15 @@
 // (lease, tag): commit/abort/reset of one tag releases only that tag's bytes, so two
 // saves multiplexed over one connection can't free each other's budget.
 //
-// Session leases (wire v3): a client may bind a lease (SESSION_OPEN with a self-generated
+// Session leases: a client may bind a lease (SESSION_OPEN with a self-generated
 // token and TTL). Staged bytes, chunk pins, and half-streamed upload spools of a leased
 // session survive the socket — lease *expiry*, not connection death, is what reaps them.
 // A reconnecting client re-presents its token, re-adopts the lease (same admission
 // seniority), asks WRITE_RESUME how far each upload got, and continues from the
 // acknowledged offset. The lease table is journaled to `<root>/.ucp_serverd.journal` so a
 // restarted daemon re-adopts live-leased half-staged tags and sweeps expired ones.
-// Sessions without a lease (v1/v2 clients, or v3 clients that never SESSION_OPEN) keep
-// the historical semantics: everything releases the moment the connection dies.
+// Sessions without a lease (leases disabled, or a client that never SESSION_OPENs) release
+// everything the moment the connection dies.
 
 #ifndef UCP_SRC_STORE_SERVER_H_
 #define UCP_SRC_STORE_SERVER_H_
@@ -60,9 +60,6 @@ struct StoreServerOptions {
   // kFailedPrecondition (a protocol violation, not backpressure — clients don't retry).
   uint64_t max_pinned_chunks = 1ull << 20;
   bool drain_on_shutdown = true;              // wait for idle sessions before closing them
-  // Highest protocol version this server will negotiate. Production leaves the default;
-  // the downgrade conformance tests pin v1/v2 server behavior with it.
-  uint32_t max_wire_version = kWireVersion;
   // Upper bound on the TTL a SESSION_OPEN may request (requests above it are clamped,
   // not refused). 0 disables leases entirely: SESSION_OPEN gets kFailedPrecondition and
   // every session falls back to release-on-disconnect.

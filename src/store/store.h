@@ -72,7 +72,7 @@ class StoreWriter {
   // and before CommitTag. `inherited` counts chunks the caller knows are unchanged vs the
   // parent tag (provenance stats in the manifest; dedup itself never trusts it).
   // The base implementation is a plain WriteFile, so callers can use this path
-  // unconditionally and older backends (a v1 wire peer) degrade to full saves.
+  // unconditionally and a backend without chunked staging degrades to full saves.
 
   virtual bool SupportsChunked() const { return false; }
   virtual Result<ChunkedWriteStats> WriteFileChunked(const std::string& rel,

@@ -124,7 +124,8 @@ void DecodeElements(const uint8_t* raw, DType dtype, int64_t count, float* out) 
 }
 
 // ---------------------------------------------------------------------------
-// Shared header pieces (v1/v2/v3 all use the same dtype/shape/payload-size encoding).
+// Shared header pieces (tensor files and bundle entries use the same dtype/shape/
+// payload-size encoding).
 
 void PutHeader(ByteWriter& w, const Tensor& t, DType dtype) {
   w.PutU8(static_cast<uint8_t>(dtype));
@@ -168,8 +169,8 @@ Result<ParsedHeader> GetHeaderAndSize(ByteReader& r) {
 }
 
 std::string ChunkCrcErr(const std::string& what, size_t chunk_index, size_t num_chunks) {
-  // Keeps the v2 "per-tensor CRC mismatch in <member>" phrasing (callers and fsck match on
-  // it) while pinpointing the damaged chunk.
+  // "per-tensor CRC mismatch in <member>" is the phrasing callers and fsck match on; the
+  // chunk suffix pinpoints the damage.
   return "per-tensor CRC mismatch in " + what + " (chunk " + std::to_string(chunk_index) +
          " of " + std::to_string(num_chunks) + ")";
 }
@@ -233,11 +234,8 @@ std::vector<uint8_t> BuildV3(ByteWriter& header,
 // ---------------------------------------------------------------------------
 // Read-side helpers.
 
-// Checks magic + endian tag from the 12-byte prologue and classifies the format version:
-// a known version value (2, 3) at offset 8, anything else is pre-version-field v1. (A v1
-// tensor file has the dtype byte at offset 8, which never collides with 2/3 for the files
-// we write: dtype <= 2 and ndim >= 1 put a value >= 256 there.)
-Result<uint32_t> SniffPrologue(const uint8_t* p, uint32_t magic, const char* kind,
+// Checks magic + endian tag of the 12-byte prologue and returns its version field.
+Result<uint32_t> CheckPrologue(const uint8_t* p, uint32_t magic, const char* kind,
                                const std::string& path) {
   if (LoadU32(p) != magic) {
     return DataLossError(std::string(kind) + " bad magic in " + path);
@@ -245,77 +243,72 @@ Result<uint32_t> SniffPrologue(const uint8_t* p, uint32_t magic, const char* kin
   if (LoadU32(p + 4) != kEndianTag) {
     return DataLossError(std::string(kind) + " endianness mismatch in " + path);
   }
-  uint32_t v = LoadU32(p + 8);
-  return (v == 2 || v == 3) ? v : 1;
+  return LoadU32(p + 8);
 }
 
-Status CheckFileCrc(const std::string& contents, const char* kind, const std::string& path) {
-  size_t body_size = contents.size() - 4;
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, contents.data() + body_size, 4);
-  if (stored_crc != Crc32(contents.data(), body_size)) {
-    return DataLossError(std::string(kind) + " CRC mismatch in " + path);
-  }
-  return OkStatus();
-}
-
-Status CheckPayloadCrc(ByteReader& r, const void* payload, size_t size, const char* what) {
-  uint32_t actual = Crc32(payload, size);
-  UCP_ASSIGN_OR_RETURN(uint32_t stored, r.GetU32());
-  if (stored != actual) {
-    return DataLossError(std::string("per-tensor CRC mismatch in ") + what);
-  }
-  return OkStatus();
-}
-
-// Raw (undecoded) payload bytes of one legacy member; verifies the per-tensor CRC for v2.
-Result<std::vector<uint8_t>> GetRawPayloadLegacy(ByteReader& r, const ParsedHeader& h,
-                                                 uint32_t version, const std::string& name) {
-  std::vector<uint8_t> raw(h.payload_bytes);
-  UCP_RETURN_IF_ERROR(r.GetBytes(raw.data(), raw.size()));
-  if (version >= 2) {
-    UCP_RETURN_IF_ERROR(CheckPayloadCrc(r, raw.data(), raw.size(), name.c_str()));
-  }
-  return raw;
-}
-
-Result<Tensor> GetPayloadLegacy(ByteReader& r, const ParsedHeader& h, uint32_t version,
-                                const std::string& name) {
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, GetRawPayloadLegacy(r, h, version, name));
-  Tensor t = Tensor::Zeros(h.shape);
-  DecodeElements(raw.data(), h.dtype, t.numel(), t.data());
-  return t;
-}
-
-// Verifies the trailing file CRC, the prologue, and (for v2) the version field, returning a
-// reader positioned at the first header byte plus the sniffed version.
-struct LegacyFile {
-  ByteReader reader;
-  uint32_t version;
-};
-
-Result<LegacyFile> OpenLegacyOrV3(const std::string& contents, uint32_t magic,
-                                  const char* kind, const std::string& path) {
-  if (contents.size() < 16) {  // prologue + trailing CRC at minimum
+// The check every whole-file reader runs first: prologue, trailing whole-file CRC, then the
+// version field; returns the header size. The order is a correctness property: a version
+// other than kFormatVersion is kFailedPrecondition only once the CRC vouches for it, so
+// bit rot in the version field stays kDataLoss — which resume answers by falling back to
+// an older tag, where kFailedPrecondition would send it into a conversion instead.
+Result<uint64_t> CheckWholeFile(const std::string& contents, uint32_t magic,
+                                const char* kind, const std::string& path) {
+  // Prologue, header size, header CRC and file CRC at minimum.
+  if (contents.size() < 28) {
     return DataLossError(std::string(kind) + " file truncated: " + path);
   }
-  UCP_ASSIGN_OR_RETURN(
-      uint32_t version,
-      SniffPrologue(reinterpret_cast<const uint8_t*>(contents.data()), magic, kind, path));
-  UCP_RETURN_IF_ERROR(CheckFileCrc(contents, kind, path));
-  ByteReader r(contents.data(), contents.size() - 4);
-  (void)r.GetU32();  // magic (already checked)
-  (void)r.GetU32();  // endian (already checked)
-  if (version >= 2) {
-    (void)r.GetU32();  // version field
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
+  UCP_ASSIGN_OR_RETURN(uint32_t version, CheckPrologue(data, magic, kind, path));
+  const size_t body_size = contents.size() - 4;
+  if (LoadU32(data + body_size) != Crc32(data, body_size)) {
+    return DataLossError(std::string(kind) + " CRC mismatch in " + path);
   }
-  return LegacyFile{r, version};
+  if (version != kFormatVersion) {
+    return FailedPreconditionError("unsupported " + std::string(kind) + " format version " +
+                                   std::to_string(version) + " in " + path + " (expected " +
+                                   std::to_string(kFormatVersion) + ")");
+  }
+  const uint64_t header_bytes = LoadU64(data + 12);
+  if (header_bytes < 24 || header_bytes + 4 > contents.size()) {
+    return DataLossError(std::string(kind) + " header size out of range in " + path);
+  }
+  return header_bytes;
+}
+
+// Reads the full contents of a source into memory for a whole-file check.
+Result<std::string> SlurpSource(ByteSource& source) {
+  std::string contents(source.size(), '\0');
+  if (!contents.empty()) {
+    UCP_RETURN_IF_ERROR(source.ReadAt(0, contents.data(), contents.size()));
+  }
+  CountRead(contents.size());
+  return contents;
+}
+
+// The prologue check of a file about to be range-read. A version field other than
+// kFormatVersion takes the cold path — one whole-file read — so the trailing CRC can tell
+// bit rot (kDataLoss) from a file of another format version (kFailedPrecondition).
+Status CheckSourcePrologue(ByteSource& source, uint32_t magic, const char* kind) {
+  if (source.size() < 16) {
+    return DataLossError(std::string(kind) + " file truncated: " + source.name());
+  }
+  uint8_t prologue[12];
+  UCP_RETURN_IF_ERROR(source.ReadAt(0, prologue, sizeof(prologue)));
+  UCP_ASSIGN_OR_RETURN(uint32_t version, CheckPrologue(prologue, magic, kind, source.name()));
+  if (version == kFormatVersion) {
+    return OkStatus();
+  }
+  UCP_ASSIGN_OR_RETURN(std::string contents, SlurpSource(source));
+  UCP_RETURN_IF_ERROR(CheckWholeFile(contents, magic, kind, source.name()).status());
+  return DataLossError(std::string(kind) + " file changed while being read: " +
+                       source.name());
 }
 
 // Parsed v3 tensor-file header prefix (prefix = bytes [0, header_bytes), including its CRC).
 struct V3TensorHeader {
   TensorFileInfo info;
   std::vector<uint32_t> chunk_crcs;
+  uint64_t payload_offset = 0;  // == header_bytes
 };
 
 Status CheckHeaderCrc(const uint8_t* prefix, uint64_t size, const char* kind,
@@ -370,6 +363,7 @@ Result<V3TensorHeader> ParseV3TensorPrefix(const uint8_t* prefix, uint64_t size,
   h.info.chunk_bytes = entry.second.first;
   h.info.num_chunks = static_cast<uint32_t>(entry.second.second.size());
   h.chunk_crcs = std::move(entry.second.second);
+  h.payload_offset = size;
   return h;
 }
 
@@ -430,7 +424,7 @@ Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
   return out;
 }
 
-// Reads the [0, header_bytes) prefix of a v3 file (prologue already sniffed).
+// Reads the [0, header_bytes) prefix of a v3 file (prologue already checked).
 Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& f, const char* kind) {
   if (f.size() < 24) {
     return DataLossError(std::string(kind) + " file truncated: " + f.name());
@@ -496,10 +490,36 @@ Status ReadChunkedRange(ByteSource& f, uint64_t payload_offset,
   return OkStatus();
 }
 
-Status Commit(const std::string& path, ByteWriter& w) {
-  uint32_t crc = Crc32(w.buffer().data(), w.size());
-  w.PutU32(crc);
-  return WriteFileAtomic(path, w.buffer().data(), w.size());
+// Whole-file readers (LoadTensor/LoadBundle) and deep verify share these: the whole-file
+// check, the header prefix, and every payload chunk CRC.
+Result<V3TensorHeader> VerifyWholeTensor(const std::string& contents, const std::string& path) {
+  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes,
+                       CheckWholeFile(contents, kTensorMagic, "tensor", path));
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
+  UCP_ASSIGN_OR_RETURN(V3TensorHeader h, ParseV3TensorPrefix(data, header_bytes, path));
+  if (header_bytes + h.info.payload_bytes + 4 != contents.size()) {
+    return DataLossError("tensor file truncated: " + path);
+  }
+  UCP_RETURN_IF_ERROR(VerifyChunks(data + header_bytes, h.info.payload_bytes,
+                                   h.info.chunk_bytes, h.chunk_crcs, path));
+  return h;
+}
+
+Result<V3BundleHeader> VerifyWholeBundle(const std::string& contents, const std::string& path) {
+  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes,
+                       CheckWholeFile(contents, kBundleMagic, "bundle", path));
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
+  UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(data, header_bytes, path));
+  if (h.payload_end + 4 != contents.size()) {
+    return DataLossError("bundle file truncated: " + path);
+  }
+  for (size_t i = 0; i < h.entries.size(); ++i) {
+    const V3BundleHeader::Member& m = h.members[i];
+    UCP_RETURN_IF_ERROR(VerifyChunks(data + m.payload_offset,
+                                     h.entries[i].second.payload_bytes, m.chunk_bytes,
+                                     m.chunk_crcs, path + ":" + h.entries[i].first));
+  }
+  return h;
 }
 
 }  // namespace
@@ -525,7 +545,11 @@ void ResetTensorIoStats() {
 // Single-tensor files.
 
 Status SaveTensor(const std::string& path, const Tensor& tensor, DType dtype) {
-  return SaveTensorAtVersion(path, tensor, dtype, kFormatVersion);
+  if (!tensor.defined()) {
+    return InvalidArgumentError("SaveTensor of undefined tensor: " + path);
+  }
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, SerializeTensor(tensor, dtype));
+  return WriteFileAtomic(path, buf.data(), buf.size());
 }
 
 Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor, DType dtype) {
@@ -536,7 +560,7 @@ Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor, DType dtype) 
   ByteWriter w;
   w.PutU32(kTensorMagic);
   w.PutU32(kEndianTag);
-  w.PutU32(3);
+  w.PutU32(kFormatVersion);
   w.PutU64(0);  // header_bytes, patched by BuildV3
   PutHeader(w, tensor, dtype);
   w.PutU64(payload.size());
@@ -544,116 +568,32 @@ Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor, DType dtype) 
   return BuildV3(w, {&payload}, {});
 }
 
-Status SaveTensorAtVersion(const std::string& path, const Tensor& tensor, DType dtype,
-                           uint32_t version) {
-  if (!tensor.defined()) {
-    return InvalidArgumentError("SaveTensor of undefined tensor: " + path);
-  }
-  if (version == 3) {
-    UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, SerializeTensor(tensor, dtype));
-    return WriteFileAtomic(path, buf.data(), buf.size());
-  }
-  if (version != 1 && version != 2) {
-    return InvalidArgumentError("unknown tensor format version " + std::to_string(version));
-  }
-  std::vector<uint8_t> payload = EncodePayload(tensor, dtype);
-  ByteWriter w;
-  w.PutU32(kTensorMagic);
-  w.PutU32(kEndianTag);
-  if (version == 2) {
-    w.PutU32(2);
-  }
-  PutHeader(w, tensor, dtype);
-  w.PutU64(payload.size());
-  w.PutBytes(payload.data(), payload.size());
-  if (version == 2) {
-    w.PutU32(Crc32(payload.data(), payload.size()));  // per-tensor CRC
-  }
-  return Commit(path, w);
-}
-
 Result<Tensor> LoadTensor(const std::string& path) {
   UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
   CountRead(contents.size());
-  UCP_ASSIGN_OR_RETURN(LegacyFile f, OpenLegacyOrV3(contents, kTensorMagic, "tensor", path));
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-  if (f.version == 3) {
-    uint64_t header_bytes = LoadU64(data + 12);
-    if (header_bytes < 24 || header_bytes + 4 > contents.size()) {
-      return DataLossError("tensor header size out of range in " + path);
-    }
-    UCP_ASSIGN_OR_RETURN(V3TensorHeader h, ParseV3TensorPrefix(data, header_bytes, path));
-    if (header_bytes + h.info.payload_bytes + 4 != contents.size()) {
-      return DataLossError("tensor file truncated: " + path);
-    }
-    const uint8_t* payload = data + header_bytes;
-    UCP_RETURN_IF_ERROR(
-        VerifyChunks(payload, h.info.payload_bytes, h.info.chunk_bytes, h.chunk_crcs, path));
-    Tensor t = Tensor::Zeros(h.info.shape);
-    DecodeElements(payload, h.info.dtype, t.numel(), t.data());
-    return t;
-  }
-  UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(f.reader));
-  return GetPayloadLegacy(f.reader, h, f.version, path);
+  UCP_ASSIGN_OR_RETURN(V3TensorHeader h, VerifyWholeTensor(contents, path));
+  Tensor t = Tensor::Zeros(h.info.shape);
+  DecodeElements(reinterpret_cast<const uint8_t*>(contents.data()) + h.payload_offset,
+                 h.info.dtype, t.numel(), t.data());
+  return t;
 }
 
 Result<TensorFileInfo> StatTensor(const std::string& path) {
-  // v3: reads only the header prefix (verified by its own CRC). v1/v2: the view falls back
-  // to a whole-file read, so corrupted metadata still cannot plan a bad load.
+  // Reads only the header prefix (verified by its own CRC).
   UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(path));
   return view.info();
 }
 
-namespace {
-
-// Reads the full contents of a source into memory for a deep-verify pass.
-Result<std::string> SlurpSource(ByteSource& source) {
-  std::string contents(source.size(), '\0');
-  if (!contents.empty()) {
-    UCP_RETURN_IF_ERROR(source.ReadAt(0, contents.data(), contents.size()));
-  }
-  CountRead(contents.size());
-  return contents;
-}
-
-Status DeepVerifyTensorContents(const std::string& contents, const std::string& path);
-Status DeepVerifyBundleContents(const std::string& contents, const std::string& path);
-
-}  // namespace
-
 Status DeepVerifyTensorFile(const std::string& path) {
   UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
   CountRead(contents.size());
-  return DeepVerifyTensorContents(contents, path);
+  return VerifyWholeTensor(contents, path).status();
 }
 
 Status DeepVerifyTensorFile(std::unique_ptr<ByteSource> source) {
   UCP_ASSIGN_OR_RETURN(std::string contents, SlurpSource(*source));
-  return DeepVerifyTensorContents(contents, source->name());
+  return VerifyWholeTensor(contents, source->name()).status();
 }
-
-namespace {
-
-Status DeepVerifyTensorContents(const std::string& contents, const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(LegacyFile f, OpenLegacyOrV3(contents, kTensorMagic, "tensor", path));
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-  if (f.version == 3) {
-    uint64_t header_bytes = LoadU64(data + 12);
-    if (header_bytes < 24 || header_bytes + 4 > contents.size()) {
-      return DataLossError("tensor header size out of range in " + path);
-    }
-    UCP_ASSIGN_OR_RETURN(V3TensorHeader h, ParseV3TensorPrefix(data, header_bytes, path));
-    if (header_bytes + h.info.payload_bytes + 4 != contents.size()) {
-      return DataLossError("tensor file truncated: " + path);
-    }
-    return VerifyChunks(data + header_bytes, h.info.payload_bytes, h.info.chunk_bytes,
-                        h.chunk_crcs, path);
-  }
-  UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(f.reader));
-  return GetRawPayloadLegacy(f.reader, h, f.version, path).status();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // TensorFileView.
@@ -665,40 +605,20 @@ Result<TensorFileView> TensorFileView::Open(const std::string& path) {
 
 Result<TensorFileView> TensorFileView::Open(std::unique_ptr<ByteSource> source) {
   const std::string path = source->name();
-  if (source->size() < 16) {
+  UCP_RETURN_IF_ERROR(CheckSourcePrologue(*source, kTensorMagic, "tensor"));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(*source, "tensor"));
+  UCP_ASSIGN_OR_RETURN(V3TensorHeader h,
+                       ParseV3TensorPrefix(prefix.data(), prefix.size(), path));
+  if (prefix.size() + h.info.payload_bytes + 4 != source->size()) {
     return DataLossError("tensor file truncated: " + path);
   }
-  uint8_t prologue[12];
-  UCP_RETURN_IF_ERROR(source->ReadAt(0, prologue, sizeof(prologue)));
-  UCP_ASSIGN_OR_RETURN(uint32_t version, SniffPrologue(prologue, kTensorMagic, "tensor", path));
   TensorFileView view;
   view.path_ = path;
-  if (version == 3) {
-    UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(*source, "tensor"));
-    UCP_ASSIGN_OR_RETURN(V3TensorHeader h,
-                         ParseV3TensorPrefix(prefix.data(), prefix.size(), path));
-    if (prefix.size() + h.info.payload_bytes + 4 != source->size()) {
-      return DataLossError("tensor file truncated: " + path);
-    }
-    view.info_ = std::move(h.info);
-    view.chunk_crcs_ = std::move(h.chunk_crcs);
-    view.chunk_verified_.assign(view.chunk_crcs_.size(), false);
-    view.payload_offset_ = prefix.size();
-    view.source_ = std::move(source);
-    return view;
-  }
-  // Legacy: read and fully verify the whole file once; ranges are then served from memory.
-  std::string contents(source->size(), '\0');
-  UCP_RETURN_IF_ERROR(source->ReadAt(0, contents.data(), contents.size()));
-  CountRead(contents.size());
-  UCP_ASSIGN_OR_RETURN(LegacyFile lf, OpenLegacyOrV3(contents, kTensorMagic, "tensor", path));
-  UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(lf.reader));
-  UCP_ASSIGN_OR_RETURN(view.legacy_payload_,
-                       GetRawPayloadLegacy(lf.reader, h, lf.version, path));
-  view.info_.shape = std::move(h.shape);
-  view.info_.dtype = h.dtype;
-  view.info_.payload_bytes = h.payload_bytes;
-  view.info_.format_version = lf.version;
+  view.info_ = std::move(h.info);
+  view.chunk_crcs_ = std::move(h.chunk_crcs);
+  view.chunk_verified_.assign(view.chunk_crcs_.size(), false);
+  view.payload_offset_ = h.payload_offset;
+  view.source_ = std::move(source);
   return view;
 }
 
@@ -707,12 +627,6 @@ Status TensorFileView::ReadElements(int64_t elem_begin, int64_t elem_count, floa
     return InvalidArgumentError("ReadElements range [" + std::to_string(elem_begin) + ", " +
                                 std::to_string(elem_begin + elem_count) +
                                 ") out of bounds for " + path_);
-  }
-  if (source_ == nullptr) {
-    DecodeElements(legacy_payload_.data() +
-                       static_cast<uint64_t>(elem_begin) * DTypeSize(info_.dtype),
-                   info_.dtype, elem_count, out);
-    return OkStatus();
   }
   return ReadChunkedRange(*source_, payload_offset_, info_.payload_bytes, info_.chunk_bytes,
                           chunk_crcs_, chunk_verified_, scratch_, info_.dtype, elem_begin,
@@ -845,49 +759,22 @@ Status SaveBundle(const std::string& path, const TensorBundle& bundle, DType dty
 Result<TensorBundle> LoadBundle(const std::string& path) {
   UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
   CountRead(contents.size());
-  UCP_ASSIGN_OR_RETURN(LegacyFile f, OpenLegacyOrV3(contents, kBundleMagic, "bundle", path));
+  UCP_ASSIGN_OR_RETURN(V3BundleHeader h, VerifyWholeBundle(contents, path));
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
   TensorBundle bundle;
-  if (f.version == 3) {
-    const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-    uint64_t header_bytes = LoadU64(data + 12);
-    if (header_bytes < 24 || header_bytes + 4 > contents.size()) {
-      return DataLossError("bundle header size out of range in " + path);
-    }
-    UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(data, header_bytes, path));
-    if (h.payload_end + 4 != contents.size()) {
-      return DataLossError("bundle file truncated: " + path);
-    }
-    bundle.meta = std::move(h.meta);
-    for (size_t i = 0; i < h.entries.size(); ++i) {
-      const TensorFileInfo& info = h.entries[i].second;
-      const V3BundleHeader::Member& m = h.members[i];
-      const std::string what = path + ":" + h.entries[i].first;
-      UCP_RETURN_IF_ERROR(VerifyChunks(data + m.payload_offset, info.payload_bytes,
-                                       m.chunk_bytes, m.chunk_crcs, what));
-      Tensor t = Tensor::Zeros(info.shape);
-      DecodeElements(data + m.payload_offset, info.dtype, t.numel(), t.data());
-      bundle.Add(h.entries[i].first, std::move(t));
-    }
-    return bundle;
-  }
-  UCP_ASSIGN_OR_RETURN(std::string meta_text, f.reader.GetString());
-  UCP_ASSIGN_OR_RETURN(bundle.meta, Json::Parse(meta_text));
-  UCP_ASSIGN_OR_RETURN(uint32_t count, f.reader.GetU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    UCP_ASSIGN_OR_RETURN(std::string name, f.reader.GetString());
-    UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(f.reader));
-    UCP_ASSIGN_OR_RETURN(Tensor t, GetPayloadLegacy(f.reader, h, f.version, path + ":" + name));
-    bundle.Add(std::move(name), std::move(t));
+  bundle.meta = std::move(h.meta);
+  for (size_t i = 0; i < h.entries.size(); ++i) {
+    const TensorFileInfo& info = h.entries[i].second;
+    Tensor t = Tensor::Zeros(info.shape);
+    DecodeElements(data + h.members[i].payload_offset, info.dtype, t.numel(), t.data());
+    bundle.Add(h.entries[i].first, std::move(t));
   }
   return bundle;
 }
 
 Result<BundleInfo> StatBundle(const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(BundleFileView view, BundleFileView::Open(path));
-  BundleInfo info;
-  info.meta = view.meta();
-  info.entries = view.entries();
-  return info;
+  UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, FileByteSource::Open(path));
+  return StatBundle(std::move(source));
 }
 
 Result<BundleInfo> StatBundle(std::unique_ptr<ByteSource> source) {
@@ -901,50 +788,13 @@ Result<BundleInfo> StatBundle(std::unique_ptr<ByteSource> source) {
 Status DeepVerifyBundleFile(const std::string& path) {
   UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
   CountRead(contents.size());
-  return DeepVerifyBundleContents(contents, path);
+  return VerifyWholeBundle(contents, path).status();
 }
 
 Status DeepVerifyBundleFile(std::unique_ptr<ByteSource> source) {
   UCP_ASSIGN_OR_RETURN(std::string contents, SlurpSource(*source));
-  return DeepVerifyBundleContents(contents, source->name());
+  return VerifyWholeBundle(contents, source->name()).status();
 }
-
-namespace {
-
-Status DeepVerifyBundleContents(const std::string& contents, const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(LegacyFile f, OpenLegacyOrV3(contents, kBundleMagic, "bundle", path));
-  if (f.version == 3) {
-    const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-    uint64_t header_bytes = LoadU64(data + 12);
-    if (header_bytes < 24 || header_bytes + 4 > contents.size()) {
-      return DataLossError("bundle header size out of range in " + path);
-    }
-    UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(data, header_bytes, path));
-    if (h.payload_end + 4 != contents.size()) {
-      return DataLossError("bundle file truncated: " + path);
-    }
-    for (size_t i = 0; i < h.entries.size(); ++i) {
-      const V3BundleHeader::Member& m = h.members[i];
-      UCP_RETURN_IF_ERROR(VerifyChunks(data + m.payload_offset,
-                                       h.entries[i].second.payload_bytes, m.chunk_bytes,
-                                       m.chunk_crcs, path + ":" + h.entries[i].first));
-    }
-    return OkStatus();
-  }
-  UCP_ASSIGN_OR_RETURN(std::string meta_text, f.reader.GetString());
-  UCP_ASSIGN_OR_RETURN(Json meta, Json::Parse(meta_text));
-  (void)meta;
-  UCP_ASSIGN_OR_RETURN(uint32_t count, f.reader.GetU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    UCP_ASSIGN_OR_RETURN(std::string name, f.reader.GetString());
-    UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(f.reader));
-    UCP_RETURN_IF_ERROR(
-        GetRawPayloadLegacy(f.reader, h, f.version, path + ":" + name).status());
-  }
-  return OkStatus();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // BundleFileView.
@@ -956,58 +806,26 @@ Result<BundleFileView> BundleFileView::Open(const std::string& path) {
 
 Result<BundleFileView> BundleFileView::Open(std::unique_ptr<ByteSource> source) {
   const std::string path = source->name();
-  if (source->size() < 16) {
+  UCP_RETURN_IF_ERROR(CheckSourcePrologue(*source, kBundleMagic, "bundle"));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(*source, "bundle"));
+  UCP_ASSIGN_OR_RETURN(V3BundleHeader h,
+                       ParseV3BundlePrefix(prefix.data(), prefix.size(), path));
+  if (h.payload_end + 4 != source->size()) {
     return DataLossError("bundle file truncated: " + path);
   }
-  uint8_t prologue[12];
-  UCP_RETURN_IF_ERROR(source->ReadAt(0, prologue, sizeof(prologue)));
-  UCP_ASSIGN_OR_RETURN(uint32_t version, SniffPrologue(prologue, kBundleMagic, "bundle", path));
   BundleFileView view;
   view.path_ = path;
-  if (version == 3) {
-    UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(*source, "bundle"));
-    UCP_ASSIGN_OR_RETURN(V3BundleHeader h,
-                         ParseV3BundlePrefix(prefix.data(), prefix.size(), path));
-    if (h.payload_end + 4 != source->size()) {
-      return DataLossError("bundle file truncated: " + path);
-    }
-    view.meta_ = std::move(h.meta);
-    view.entries_ = std::move(h.entries);
-    for (V3BundleHeader::Member& m : h.members) {
-      Member member;
-      member.payload_offset = m.payload_offset;
-      member.chunk_bytes = m.chunk_bytes;
-      member.chunk_verified.assign(m.chunk_crcs.size(), false);
-      member.chunk_crcs = std::move(m.chunk_crcs);
-      view.members_.push_back(std::move(member));
-    }
-    view.source_ = std::move(source);
-    return view;
-  }
-  // Legacy: one verified whole-file read; members become offsets into the raw payload blob.
-  std::string contents(source->size(), '\0');
-  UCP_RETURN_IF_ERROR(source->ReadAt(0, contents.data(), contents.size()));
-  CountRead(contents.size());
-  UCP_ASSIGN_OR_RETURN(LegacyFile lf, OpenLegacyOrV3(contents, kBundleMagic, "bundle", path));
-  UCP_ASSIGN_OR_RETURN(std::string meta_text, lf.reader.GetString());
-  UCP_ASSIGN_OR_RETURN(view.meta_, Json::Parse(meta_text));
-  UCP_ASSIGN_OR_RETURN(uint32_t count, lf.reader.GetU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    UCP_ASSIGN_OR_RETURN(std::string name, lf.reader.GetString());
-    UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(lf.reader));
-    UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                         GetRawPayloadLegacy(lf.reader, h, lf.version, path + ":" + name));
+  view.meta_ = std::move(h.meta);
+  view.entries_ = std::move(h.entries);
+  for (V3BundleHeader::Member& m : h.members) {
     Member member;
-    member.payload_offset = view.legacy_payload_.size();
-    view.legacy_payload_.insert(view.legacy_payload_.end(), raw.begin(), raw.end());
+    member.payload_offset = m.payload_offset;
+    member.chunk_bytes = m.chunk_bytes;
+    member.chunk_verified.assign(m.chunk_crcs.size(), false);
+    member.chunk_crcs = std::move(m.chunk_crcs);
     view.members_.push_back(std::move(member));
-    TensorFileInfo info;
-    info.shape = std::move(h.shape);
-    info.dtype = h.dtype;
-    info.payload_bytes = h.payload_bytes;
-    info.format_version = lf.version;
-    view.entries_.emplace_back(std::move(name), std::move(info));
   }
+  view.source_ = std::move(source);
   return view;
 }
 
@@ -1044,12 +862,6 @@ Status BundleFileView::ReadTensorElements(size_t entry_index, int64_t elem_begin
                                 entries_[entry_index].first);
   }
   Member& m = members_[entry_index];
-  if (source_ == nullptr) {
-    DecodeElements(legacy_payload_.data() + m.payload_offset +
-                       static_cast<uint64_t>(elem_begin) * DTypeSize(info.dtype),
-                   info.dtype, elem_count, out);
-    return OkStatus();
-  }
   return ReadChunkedRange(*source_, m.payload_offset, info.payload_bytes, m.chunk_bytes,
                           m.chunk_crcs, m.chunk_verified, scratch_, info.dtype, elem_begin,
                           elem_count, out, path_ + ":" + entries_[entry_index].first);
@@ -1070,9 +882,10 @@ Result<std::optional<FileChunkIndex>> ReadFileChunkIndex(ByteSource& source) {
     return std::optional<FileChunkIndex>(std::nullopt);
   }
   const char* kind = is_tensor ? "tensor" : "bundle";
-  UCP_ASSIGN_OR_RETURN(uint32_t version, SniffPrologue(prologue, magic, kind, source.name()));
-  if (version != 3) {
-    return std::optional<FileChunkIndex>(std::nullopt);  // v1/v2 have no chunk table
+  UCP_ASSIGN_OR_RETURN(uint32_t version, CheckPrologue(prologue, magic, kind, source.name()));
+  if (version != kFormatVersion) {
+    // No chunk table to verify against; the reader's own whole-file check classifies it.
+    return std::optional<FileChunkIndex>(std::nullopt);
   }
   UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(source, kind));
   FileChunkIndex index;

@@ -496,6 +496,60 @@ TEST_F(CrashConsistencyTest, TornAtomWriteDuringForeignIngestIsCaughtByFsck) {
   EXPECT_FALSE(fsck->clean()) << fsck->ToString();  // ...but the CRCs say otherwise
 }
 
+// Bit rot in the version field is damage, not another format. The trailing CRC is judged
+// before the version, so every reader reports kDataLoss, and resume falls back to the
+// previous tag natively. kFailedPrecondition here would make ResumeElastic stop walking
+// back and attempt a conversion of the rotten tag instead.
+TEST_F(CrashConsistencyTest, VersionFieldBitRotIsDataLossAndResumeFallsBack) {
+  auto flip_version_bit = [](const std::string& path) {
+    std::string contents = *ReadFileToString(path);
+    ASSERT_GT(contents.size(), 16u);
+    contents[8] ^= 0x02;  // version 3 -> 1; the trailing CRC stays as written
+    ASSERT_TRUE(WriteFileAtomic(path, contents).ok());
+  };
+
+  const std::string tensor_path = Sub("tensor");
+  ASSERT_TRUE(SaveTensor(tensor_path, Tensor::Zeros({7, 9})).ok());
+  flip_version_bit(tensor_path);
+  EXPECT_EQ(LoadTensor(tensor_path).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(StatTensor(tensor_path).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(TensorFileView::Open(tensor_path).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DeepVerifyTensorFile(tensor_path).code(), StatusCode::kDataLoss);
+
+  TrainerConfig cfg = ConfigFor({1, 1, 1, 1, 0, 1});
+  TrainingRun ref(cfg);
+  std::vector<double> ref_losses = ref.Train(1, 6);
+
+  TrainingRun victim(cfg);
+  victim.Train(1, 2);
+  SaveAll(victim, Sub("ckpt"), 2);
+  victim.Train(3, 4);
+  SaveAll(victim, Sub("ckpt"), 4);
+  const std::string shard =
+      PathJoin(Sub("ckpt/global_step4"), OptimStatesFileName(0, 0, 0, 0));
+  flip_version_bit(shard);
+  EXPECT_EQ(LoadBundle(shard).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(StatBundle(shard).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(BundleFileView::Open(shard).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DeepVerifyBundleFile(shard).code(), StatusCode::kDataLoss);
+
+  TrainingRun resumed(cfg);
+  ResumeReport report;
+  resumed.Run([&](RankTrainer& t) {
+    Result<ResumeReport> r = ResumeElastic(Sub("ckpt"), t);
+    UCP_CHECK(r.ok()) << r.status().ToString();
+    report = *r;
+  });
+  EXPECT_EQ(report.tag, "global_step2");
+  EXPECT_EQ(report.path, ResumeReport::Path::kNative);
+  EXPECT_FALSE(DirExists(Sub("ckpt/global_step4.ucp"))) << "resume attempted a conversion";
+  std::vector<double> resumed_losses = resumed.Train(3, 6);
+  ASSERT_EQ(resumed_losses.size(), 4u);
+  for (size_t i = 0; i < resumed_losses.size(); ++i) {
+    EXPECT_DOUBLE_EQ(resumed_losses[i], ref_losses[i + 2]) << "iteration " << 3 + i;
+  }
+}
+
 TEST_F(CrashConsistencyTest, PerTensorCrcLocalizesCorruptionPastTheFileCrc) {
   // An adversarial flip that also patches the whole-file CRC trailer must still be caught —
   // by the per-tensor CRC, which names the damaged member.

@@ -116,7 +116,7 @@ bool HasProblemContaining(const ValidationReport& report, const std::string& nee
 
 // Both-backend fixture: "local" drives a LocalStore directly; "remote" stands up an
 // in-process ucp_serverd over the same directory and drives it through RemoteStore (so
-// dedup rides CHUNK_QUERY/CHUNK_PUT and the v2 handshake).
+// dedup rides CHUNK_QUERY/CHUNK_PUT over the wire).
 class IncrementalBackendTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {

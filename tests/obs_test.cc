@@ -36,6 +36,7 @@ class ObsTest : public ::testing::Test {
     DisarmRankFaults();
     obs::SetTraceEnabled(true);
     obs::SetTraceRingCapacity(8192);
+    obs::SetTraceOrphanRingLimit(512);
     obs::ResetTrace();
   }
 };
@@ -336,6 +337,24 @@ TEST_F(ObsTest, MergeChromeTracesLinksClientAndServerWithFlowEvents) {
   EXPECT_TRUE(phases.count("s"));
   EXPECT_TRUE(phases.count("t"));
   EXPECT_TRUE(phases.count("f"));
+}
+
+// The process-wide event count is what overhead guardrails difference around a save. It
+// must count every event exactly once even when the recording thread's ring wrapped and
+// was then shed at thread exit, and ResetTrace must not move it back.
+TEST_F(ObsTest, EventCountIsMonotoneAcrossWrapShedAndReset) {
+  obs::SetTraceRingCapacity(8);
+  obs::SetTraceOrphanRingLimit(0);  // shed every exited thread's ring
+  obs::ResetTrace();
+  const uint64_t before = obs::TraceEventsRecorded();
+  std::thread([] {
+    for (int i = 0; i < 20; ++i) {
+      UCP_TRACE_SPAN("obs_test.counted");
+    }
+  }).join();
+  EXPECT_TRUE(EventsNamed("obs_test.counted").empty());  // the ring is gone...
+  obs::ResetTrace();
+  EXPECT_EQ(obs::TraceEventsRecorded() - before, 20u);  // ...the count is not
 }
 
 TEST_F(ObsTest, DisabledTracingRecordsNothing) {

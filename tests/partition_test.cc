@@ -125,6 +125,23 @@ struct SweepCase {
   const char* label;
 };
 
+// Without this gtest prints the parameter's raw bytes, heap pointers included, and that
+// text lands in the discovered ctest name — which then differs from build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "shape";
+  for (int64_t d : c.shape) {
+    *os << ' ' << d;
+  }
+  *os << " / " << PartitionKindName(c.spec.kind) << " dim " << c.spec.dim;
+  if (!c.spec.sections.empty()) {
+    *os << " sections";
+    for (int64_t s : c.spec.sections) {
+      *os << ' ' << s;
+    }
+  }
+  *os << " / degree " << c.degree;
+}
+
 class ShardRoundTripSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(ShardRoundTripSweep, UnshardInvertsShardOf) {

@@ -68,10 +68,7 @@ std::string MetaJson(int64_t iteration) {
 // ---------------------------------------------------------------------------
 // Property 1: backend conformance. Every test below runs once against a
 // LocalStore on a temp dir and once against a RemoteStore talking to an
-// in-process daemon serving the same dir. The remote_v2/remote_v1 rows pin the
-// downgrade path: a v3 client against an older daemon must fall back cleanly
-// (no lease, release-on-disconnect semantics) and still satisfy the identical
-// contract bit-exactly.
+// in-process daemon serving the same dir.
 // ---------------------------------------------------------------------------
 
 class StoreConformanceTest : public ::testing::TestWithParam<const char*> {
@@ -82,7 +79,6 @@ class StoreConformanceTest : public ::testing::TestWithParam<const char*> {
       StoreServerOptions options;
       options.root = dir_;
       options.listen = "unix:" + dir_ + ".sock";  // sibling path: keeps List("") clean
-      options.max_wire_version = server_version();
       Result<std::unique_ptr<StoreServer>> started =
           StoreServer::Start(std::move(options));
       ASSERT_TRUE(started.ok()) << started.status();
@@ -90,11 +86,7 @@ class StoreConformanceTest : public ::testing::TestWithParam<const char*> {
       Result<std::shared_ptr<Store>> opened = OpenStore(server_->endpoint());
       ASSERT_TRUE(opened.ok()) << opened.status();
       store_ = *opened;
-      // The downgrade fallback must be visible to the client: no lease against a
-      // pre-lease daemon, a lease (by default) against a v3 one.
-      auto* remote_store = static_cast<RemoteStore*>(store_.get());
-      EXPECT_EQ(remote_store->negotiated_version(), server_version());
-      EXPECT_EQ(remote_store->lease_token().empty(), server_version() < 3);
+      EXPECT_FALSE(static_cast<RemoteStore*>(store_.get())->lease_token().empty());
     } else {
       store_ = std::make_shared<LocalStore>(dir_);
     }
@@ -109,13 +101,7 @@ class StoreConformanceTest : public ::testing::TestWithParam<const char*> {
     ASSERT_TRUE(RemoveAll(dir_).ok());
   }
 
-  bool remote() const { return std::string(GetParam()).rfind("remote", 0) == 0; }
-  uint32_t server_version() const {
-    const std::string param = GetParam();
-    if (param == "remote_v1") return 1;
-    if (param == "remote_v2") return 2;
-    return kWireVersion;
-  }
+  bool remote() const { return std::string(GetParam()) == "remote"; }
 
   void CommitSimpleTag(const std::string& tag, int64_t iteration,
                        const std::string& file = "shard",
@@ -134,7 +120,7 @@ class StoreConformanceTest : public ::testing::TestWithParam<const char*> {
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, StoreConformanceTest,
-                         ::testing::Values("local", "remote", "remote_v2", "remote_v1"),
+                         ::testing::Values("local", "remote"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
@@ -250,6 +236,9 @@ TEST_P(StoreConformanceTest, GcIsJobScopedAndDryRunIsInert) {
   Result<std::vector<std::string>> job_tags = store_->ListTags("jobA");
   ASSERT_TRUE(job_tags.ok());
   EXPECT_EQ(*job_tags, std::vector<std::string>{"jobA.global_step7"});
+  // Retention always keeps at least one tag; an empty keep window is a caller error.
+  EXPECT_EQ(store_->Gc("", 0, /*dry_run=*/true).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_P(StoreConformanceTest, DeleteTagIsIdempotent) {
@@ -454,6 +443,30 @@ TEST_F(StoreServerTest, VersionMismatchFailsClosed) {
   ::close(fds[0]);
 }
 
+// The server speaks one protocol version. A window below it — what a client of an
+// older protocol offers — gets a typed kFailedPrecondition error frame and a closed
+// connection, never a session.
+TEST_F(StoreServerTest, HelloWithoutCurrentVersionFailsClosedTyped) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread serve([&] { server_->ServeConnectionForTest(fds[1]); });
+
+  std::vector<uint8_t> hello;
+  PutU32Le(hello, 1);
+  PutU32Le(hello, 3);
+  ASSERT_TRUE(SendFrame(fds[0], WireOp::kHello, hello).ok());
+  Result<WireFrame> reply = RecvFrame(fds[0]);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->op, WireOp::kError);
+  ByteReader r(reply->payload.data(), reply->payload.size());
+  Result<uint8_t> code = r.GetU8();
+  ASSERT_TRUE(code.ok());
+  EXPECT_EQ(*code, static_cast<uint8_t>(StatusCode::kFailedPrecondition));
+  EXPECT_EQ(RecvFrame(fds[0]).status().code(), StatusCode::kUnavailable);
+  serve.join();
+  ::close(fds[0]);
+}
+
 // Property 3: transient socket errors on either side of an exchange are retried, counted
 // in io.retry.*, and invisible to the caller.
 TEST_F(StoreServerTest, TransientSocketErrorsAreRetriedNotFatal) {
@@ -548,6 +561,7 @@ TEST_F(StoreServerTest, HostileWriteBeginTotalIsRejectedNotFatal) {
   begin.PutString("global_step1");
   begin.PutString("shard");
   begin.PutU64(uint64_t{1} << 63);
+  begin.PutU64(0);  // resume_offset: a fresh write
   ASSERT_TRUE(SendFrame(fds[0], WireOp::kWriteBegin, begin.buffer()).ok());
   Result<WireFrame> reply = RecvFrame(fds[0]);
   ASSERT_TRUE(reply.ok()) << reply.status();
@@ -671,9 +685,9 @@ TEST_F(StoreServerTest, FinishedConnectionThreadsAreReaped) {
 
 // Property 6a: a client that vanishes mid-save leaves no visible tag, the server releases
 // its admission budget, and the next client saves normally. The doomed client runs
-// lease-less (ttl 0): these are the release-on-disconnect semantics every v1/v2 client
-// and every no-lease v3 client gets. A *leased* client's staged state instead survives to
-// lease expiry — that arm lives in chaos_test.cc.
+// lease-less (ttl 0): these are the release-on-disconnect semantics every no-lease client
+// gets. A *leased* client's staged state instead survives to lease expiry — that arm
+// lives in chaos_test.cc.
 TEST_F(StoreServerTest, ClientCrashMidSaveLeavesNoVisibleTag) {
   RemoteStoreOptions no_lease;
   no_lease.lease_ttl_ms = 0;
@@ -866,7 +880,6 @@ TEST_F(StoreServerTest, TraceContextParentsServerSpansUnderClientRpc) {
   obs::SetTraceEnabled(true);
   obs::ResetTrace();
   std::shared_ptr<RemoteStore> store = Connect();
-  ASSERT_GE(store->negotiated_version(), 4u);
   ASSERT_TRUE(store->ResetTagStaging("global_step1").ok());
   Result<std::unique_ptr<StoreWriter>> writer = store->OpenTagForWrite("global_step1");
   ASSERT_TRUE(writer.ok()) << writer.status();
@@ -982,46 +995,6 @@ TEST_F(StoreServerTest, TraceContextSurvivesConnDropAndWriteResume) {
   EXPECT_EQ(resume_trace, save_trace);
   EXPECT_EQ(server_write_traces.size(), 1u);
   EXPECT_TRUE(server_write_traces.count(save_trace));
-}
-
-// Downgrade: a v4 client on a v3-capped daemon negotiates v3, never emits the
-// TRACE_CONTEXT header (the ops succeed — an unexpected header would be a typed error on
-// a v3 session), and METRICS_DUMP fails typed as unimplemented.
-TEST_F(StoreServerTest, V4ClientAgainstV3ServerDropsTraceHeaderCleanly) {
-  server_->Shutdown();
-  StoreServerOptions options;
-  options.root = dir_;
-  options.listen = "unix:" + dir_ + ".sock";
-  options.max_wire_version = 3;
-  StartServer(std::move(options));
-
-  obs::SetTraceEnabled(true);
-  obs::ResetTrace();
-  std::shared_ptr<RemoteStore> store = Connect();
-  ASSERT_EQ(store->negotiated_version(), 3u);
-  ASSERT_TRUE(store->ResetTagStaging("global_step1").ok());
-  Result<std::unique_ptr<StoreWriter>> writer = store->OpenTagForWrite("global_step1");
-  ASSERT_TRUE(writer.ok()) << writer.status();
-  ASSERT_TRUE((*writer)->WriteFile("shard", std::string(64 * 1024, 'v')).ok());
-  ASSERT_TRUE(store->CommitTag("global_step1", MetaJson(1)).ok());
-  EXPECT_EQ(store->MetricsDump(/*prometheus=*/true).status().code(),
-            StatusCode::kUnimplemented);
-
-  // The server still records handling spans, but with no propagated context: the client
-  // traced locally and dropped the header at the negotiated version.
-  Result<Json> parsed = Json::Parse(obs::ExportChromeTraceJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  bool saw_server_write = false;
-  for (const Json& e : **parsed->GetArray("traceEvents")) {
-    Result<std::string> name = e.GetString("name");
-    if (name.ok() && *name == "store.server.rpc" &&
-        TraceArg(e, "op") == "write_begin") {
-      saw_server_write = true;
-      EXPECT_TRUE(TraceArg(e, "trace_id").empty())
-          << "v3 session must never receive a trace context";
-    }
-  }
-  EXPECT_TRUE(saw_server_write);
 }
 
 #endif  // UCP_OBS_ENABLED

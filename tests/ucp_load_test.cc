@@ -5,8 +5,8 @@
 //     target grid.
 //  2. Chunked CRCs localize damage: bit-rot inside one 64 KiB chunk fails only the ranges
 //     that touch it; untouched ranges still load, and header-only Stat still succeeds.
-//  3. Backward compatibility: v1/v2 files round-trip through the view API, and a UCP
-//     checkpoint rewritten at v2 still loads bit-exactly through the sliced path.
+//  3. One format: a file whose version field is not 3 — with a valid whole-file CRC, so
+//     it is not damage — fails closed with kFailedPrecondition through every reader.
 //  4. The sliced arm reads strictly fewer bytes than the reference arm.
 //  5. The slice cache dedups concurrent identical reads and drops failed loads.
 
@@ -15,7 +15,9 @@
 #include <cstring>
 
 #include "src/ckpt/checkpoint.h"
+#include "src/common/crc32.h"
 #include "src/common/fs.h"
+#include "src/common/json.h"
 #include "src/tensor/tensor_file.h"
 #include "src/ucp/converter.h"
 #include "src/ucp/loader.h"
@@ -181,68 +183,39 @@ TEST_F(LoadEnv, ChunkVerificationIsMemoizedPerView) {
   EXPECT_EQ(second.bytes_read - first.bytes_read, 50u * 320 * 4);
 }
 
-// Property 3a: the legacy writers round-trip through every reader entry point.
-TEST_F(LoadEnv, LegacyVersionsRoundTripThroughViews) {
-  Tensor t = Tensor::Zeros({7, 9});
-  for (int64_t i = 0; i < t.numel(); ++i) {
-    t.data()[i] = 1.0f / static_cast<float>(i + 1);
-  }
-  for (uint32_t version : {1u, 2u}) {
-    SCOPED_TRACE(version);
-    const std::string path = Sub("v" + std::to_string(version));
-    ASSERT_TRUE(SaveTensorAtVersion(path, t, DType::kF32, version).ok());
-
-    Result<TensorFileInfo> info = StatTensor(path);
-    ASSERT_TRUE(info.ok()) << info.status();
-    EXPECT_EQ(info->format_version, version);
-    EXPECT_EQ(info->num_chunks, 0u);  // no chunk table before v3
-    EXPECT_EQ(info->shape, t.shape());
-
-    Result<Tensor> whole = LoadTensor(path);
-    ASSERT_TRUE(whole.ok());
-    EXPECT_TRUE(Tensor::BitEqual(*whole, t));
-
-    Result<TensorFileView> view = TensorFileView::Open(path);
-    ASSERT_TRUE(view.ok()) << view.status();
-    Result<Tensor> range = view->ReadRange(2, 3);
-    ASSERT_TRUE(range.ok()) << range.status();
-    EXPECT_TRUE(Tensor::BitEqual(*range, t.Narrow(0, 2, 3)));
-  }
+// Rewrites the version field of a saved container file and re-seals its trailing CRC, so the
+// file is intact but claims another format version.
+void PatchVersionAndReseal(const std::string& path, uint32_t version) {
+  std::string contents = *ReadFileToString(path);
+  ASSERT_GT(contents.size(), 16u);
+  std::memcpy(contents.data() + 8, &version, 4);
+  const uint32_t crc = Crc32(contents.data(), contents.size() - 4);
+  std::memcpy(contents.data() + contents.size() - 4, &crc, 4);
+  ASSERT_TRUE(WriteFileAtomic(path, contents).ok());
 }
 
-// Property 3b: a UCP checkpoint whose atoms were written by an old (v2) build still loads
-// through the sliced path, bit-exactly.
-TEST_F(LoadEnv, V2AtomsLoadBitExactThroughSlicedPath) {
-  ModelConfig model = TinyGpt();
-  MakeUcp(model);
+// Property 3: every reader entry point refuses a well-formed file of another version.
+TEST_F(LoadEnv, OtherFormatVersionFailsClosedThroughEveryReader) {
+  const std::string tensor_path = Sub("tensor");
+  ASSERT_TRUE(SaveTensor(tensor_path, Tensor::Zeros({7, 9})).ok());
+  PatchVersionAndReseal(tensor_path, 2);
+  EXPECT_EQ(LoadTensor(tensor_path).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(StatTensor(tensor_path).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(TensorFileView::Open(tensor_path).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(DeepVerifyTensorFile(tensor_path).code(), StatusCode::kFailedPrecondition);
 
-  // Downgrade every atom state file to v2 in place.
-  Result<UcpMeta> meta = ReadUcpMeta(Sub("ucp"));
-  ASSERT_TRUE(meta.ok());
-  for (const std::string& name : meta->atom_names) {
-    for (const char* state : {"fp32", "exp_avg", "exp_avg_sq"}) {
-      const std::string path = PathJoin(AtomDir(Sub("ucp"), name), state);
-      Result<Tensor> t = LoadTensor(path);
-      ASSERT_TRUE(t.ok()) << path;
-      ASSERT_TRUE(SaveTensorAtVersion(path, *t, DType::kF32, 2).ok());
-    }
-  }
-  ASSERT_EQ(StatTensor(PathJoin(AtomDir(Sub("ucp"), meta->atom_names[0]), "fp32"))
-                ->format_version,
-            2u);
-
-  ParallelConfig target{2, 2, 2, 1, 1, 1};
-  TrainingRun sliced(ConfigFor(model, target));
-  LoadAll(sliced, Sub("ucp"), {.num_threads = 4, .sliced = true});
-  TrainingRun whole(ConfigFor(model, target));
-  LoadAll(whole, Sub("ucp"), {.sliced = false});
-  for (int r = 0; r < sliced.world_size(); ++r) {
-    const ZeroOptimizer& a = sliced.trainer(r).optimizer();
-    const ZeroOptimizer& b = whole.trainer(r).optimizer();
-    EXPECT_TRUE(Tensor::BitEqual(a.MasterState(), b.MasterState())) << "rank " << r;
-    EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgState(), b.ExpAvgState())) << "rank " << r;
-    EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgSqState(), b.ExpAvgSqState())) << "rank " << r;
-  }
+  const std::string bundle_path = Sub("bundle");
+  TensorBundle bundle;
+  bundle.Add("w", Tensor::Zeros({5, 3}));
+  bundle.meta = Json(JsonObject{});
+  ASSERT_TRUE(SaveBundle(bundle_path, bundle).ok());
+  PatchVersionAndReseal(bundle_path, 2);
+  EXPECT_EQ(LoadBundle(bundle_path).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(StatBundle(bundle_path).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(BundleFileView::Open(bundle_path).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(DeepVerifyBundleFile(bundle_path).code(), StatusCode::kFailedPrecondition);
 }
 
 // Property 4: on a TP2·DP2 target the sliced arm moves at most half the bytes the

@@ -130,7 +130,6 @@ void PrintUsage(std::FILE* out) {
                "  ucp_tool stat <ucp_dir | tag_dir>\n"
                "  ucp_tool du [--store ENDPOINT | <ckpt_dir>]\n"
                "  ucp_tool tags [--store ENDPOINT | <ckpt_dir>]\n"
-               "  ucp_tool prune <ckpt_dir> <keep_last>\n"
                "  ucp_tool gc [--store ENDPOINT | <ckpt_dir>] <keep_last> [--dry-run]\n"
                "  ucp_tool ping --store ENDPOINT\n"
                "  ucp_tool metrics [--store ENDPOINT | <subcommand> <args...>]\n"
@@ -695,33 +694,9 @@ int CmdDu(Flags flags) {
   return dangling_total > 0 ? 1 : 0;
 }
 
-int CmdPrune(const Flags& flags) {
-  if (flags.positional.size() != 2) {
-    return Usage();
-  }
-  int keep = 0;
-  if (!ParseInt(flags.positional[1], &keep)) {
-    std::fprintf(stderr, "bad keep_last: %s\n", flags.positional[1].c_str());
-    return Usage();
-  }
-  Status status = PruneCheckpoints(flags.positional[0], keep);
-  if (!status.ok()) {
-    return Fail(status);
-  }
-  Result<std::vector<std::string>> tags = ListCheckpointTags(flags.positional[0]);
-  if (!tags.ok()) {
-    return Fail(tags.status());
-  }
-  std::printf("kept %zu checkpoint(s):\n", tags->size());
-  for (const std::string& tag : *tags) {
-    std::printf("  %s\n", tag.c_str());
-  }
-  return 0;
-}
-
 // Retention for steady-state training: keep the newest `keep_last` *committed* tags (plus
 // whatever `latest` names), leave uncommitted tags and `.staging` debris to fsck / the
-// next save. `prune` is the blunter tool that counts every tag.
+// next save.
 int CmdGc(Flags flags) {
   Status open_error = OkStatus();
   std::shared_ptr<Store> store = OpenToolStore(flags, &open_error);
@@ -978,8 +953,8 @@ int CmdSoakReplay(const Flags& flags) {
 }
 
 // `ucp_tool ping --store ENDPOINT` — the first thing to run when saves hang: proves the
-// daemon is reachable, shows the negotiated wire version, the round-trip time, and (v3)
-// the server's session/lease/staged-bytes counters including drain state. Connects
+// daemon is reachable, shows its wire version, the round-trip time, and the server's
+// session/lease/staged-bytes counters including drain state. Connects
 // lease-less (ttl 0) so the probe leaves no state behind on the server.
 int CmdPing(const Flags& flags) {
   if (flags.store.empty() || !flags.positional.empty()) {
@@ -1003,16 +978,15 @@ int CmdPing(const Flags& flags) {
       std::chrono::duration<double, std::milli>(ping_start - dial_start).count();
   const double rtt_ms =
       std::chrono::duration<double, std::milli>(ping_end - ping_start).count();
-  std::printf("%s: alive  wire v%u  connect %.2f ms  ping %.2f ms\n", flags.store.c_str(),
-              (*store)->negotiated_version(), connect_ms, rtt_ms);
   Result<RemoteServerStat> stat = (*store)->ServerStat();
-  if (stat.ok()) {
-    std::printf("  sessions %u  named leases %u  staged %llu bytes%s\n", stat->sessions,
-                stat->leases, static_cast<unsigned long long>(stat->staged_bytes),
-                stat->draining ? "  DRAINING (refusing new sessions)" : "");
-  } else if (stat.status().code() != StatusCode::kUnimplemented) {
+  if (!stat.ok()) {
     return Fail(stat.status());
   }
+  std::printf("%s: alive  wire v%u  connect %.2f ms  ping %.2f ms\n", flags.store.c_str(),
+              stat->wire_version, connect_ms, rtt_ms);
+  std::printf("  sessions %u  named leases %u  staged %llu bytes%s\n", stat->sessions,
+              stat->leases, static_cast<unsigned long long>(stat->staged_bytes),
+              stat->draining ? "  DRAINING (refusing new sessions)" : "");
   return 0;
 }
 
@@ -1065,9 +1039,6 @@ int Main(int argc, char** argv) {
   }
   if (command == "tags") {
     return CmdTags(flags);
-  }
-  if (command == "prune") {
-    return CmdPrune(flags);
   }
   if (command == "gc") {
     return CmdGc(flags);
