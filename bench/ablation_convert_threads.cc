@@ -35,7 +35,7 @@ Fixture& GetFixture() {
 void BM_Convert(benchmark::State& state) {
   Fixture& f = GetFixture();
   const int threads = static_cast<int>(state.range(0));
-  const std::string ucp_dir = "/tmp/ucp_bench/ablation_threads_out";
+  const std::string ucp_dir = bench::BenchRoot() + "/ablation_threads_out";
   double extract_seconds = 0.0;
   double union_seconds = 0.0;
   int64_t bytes = 0;

@@ -29,7 +29,7 @@ Fixture& GetFixture() {
     TrainingRun source(bench::MakeConfig(model, strategy));
     source.Train(1, 2);
     bench::SaveAll(source, ckpt_dir, 2);
-    f->ucp_dir = "/tmp/ucp_bench/ablation_load_threads_ucp";
+    f->ucp_dir = bench::BenchRoot() + "/ablation_load_threads_ucp";
     UCP_CHECK(RemoveAll(f->ucp_dir).ok());
     Result<ConvertStats> stats =
         ConvertToUcp(ckpt_dir, TagForIteration(2), f->ucp_dir, {.num_threads = 4});

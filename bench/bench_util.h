@@ -4,9 +4,12 @@
 #ifndef UCP_BENCH_BENCH_UTIL_H_
 #define UCP_BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -53,8 +56,19 @@ inline void LoadUcpAll(TrainingRun& run, const std::string& ucp_dir) {
   });
 }
 
+// Root of this process's bench data, /tmp/ucp_bench/<pid>, removed when the process exits:
+// two runs of one bench at once never share, and so never wipe, each other's stores.
+inline const std::string& BenchRoot() {
+  static const std::string root = "/tmp/ucp_bench/" + std::to_string(::getpid());
+  // Registered after `root` is constructed, so the handler runs before its destructor.
+  [[maybe_unused]] static const bool cleanup =
+      std::atexit([] { RemoveAll(root).ok(); }) == 0;
+  return root;
+}
+
+// An empty directory for one figure's data under this process's BenchRoot().
 inline std::string FreshDir(const std::string& name) {
-  std::string dir = "/tmp/ucp_bench/" + name;
+  std::string dir = BenchRoot() + "/" + name;
   UCP_CHECK(RemoveAll(dir).ok());
   UCP_CHECK(MakeDirs(dir).ok());
   return dir;

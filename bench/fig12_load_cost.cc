@@ -81,7 +81,7 @@ void BM_LoadStandard(benchmark::State& state, const Arm& arm) {
 
 void BM_ConvertAndLoadUcp(benchmark::State& state, const Arm& arm) {
   Fixture& f = FixtureFor(arm);
-  const std::string ucp_dir = "/tmp/ucp_bench/fig12_ucp_" + std::string(arm.size_label);
+  const std::string ucp_dir = bench::BenchRoot() + "/fig12_ucp_" + std::string(arm.size_label);
   for (auto _ : state) {
     state.PauseTiming();
     UCP_CHECK(RemoveAll(ucp_dir).ok());
@@ -118,7 +118,7 @@ JsonObject RunLoadComparison() {
   for (const Arm& arm : Arms()) {
     Fixture& f = FixtureFor(arm);
     const std::string ucp_dir =
-        "/tmp/ucp_bench/fig12_loadcmp_ucp_" + std::string(arm.size_label);
+        bench::BenchRoot() + "/fig12_loadcmp_ucp_" + std::string(arm.size_label);
     UCP_CHECK(RemoveAll(ucp_dir).ok());
     Result<ConvertStats> stats =
         ConvertToUcp(f.ckpt_dir, TagForIteration(2), ucp_dir, {.num_threads = 4});

@@ -1,5 +1,6 @@
 #include "src/store/chunk_manifest.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/common/crc32.h"
@@ -22,6 +23,15 @@ uint64_t ChunkManifest::LogicalBytes() const {
     total += entry.size;
   }
   return total;
+}
+
+uint32_t CombineChunkCrcs(const std::vector<uint32_t>& chunk_crcs, uint64_t size) {
+  uint32_t crc = 0;  // CRC of the empty string
+  for (size_t i = 0; i < chunk_crcs.size(); ++i) {
+    const uint64_t off = i * kManifestChunkBytes;
+    crc = Crc32Combine(crc, chunk_crcs[i], std::min<uint64_t>(kManifestChunkBytes, size - off));
+  }
+  return crc;
 }
 
 std::string SerializeChunkManifest(const ChunkManifest& manifest) {

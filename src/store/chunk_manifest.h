@@ -60,6 +60,10 @@ struct ChunkManifest {
   uint64_t LogicalBytes() const;
 };
 
+// The CRC32 of a whole `size`-byte file from the CRCs of its kManifestChunkBytes chunks
+// (chunk_crcs[i] covers bytes [i * kManifestChunkBytes, ...)), without touching the bytes.
+uint32_t CombineChunkCrcs(const std::vector<uint32_t>& chunk_crcs, uint64_t size);
+
 // Renders the header line + JSON body described above.
 std::string SerializeChunkManifest(const ChunkManifest& manifest);
 

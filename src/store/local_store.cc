@@ -47,11 +47,13 @@ class LocalStoreWriter final : public StoreWriter {
     const uint8_t* bytes = static_cast<const uint8_t*>(data);
     // Probes carry each chunk's size+crc so a dedup hit is content-verified, not just
     // digest-matched (a 64-bit collision must not alias two different chunks).
+    std::vector<uint32_t> chunk_crcs(digests.size());
     std::vector<ChunkIndex::ChunkProbe> probes(digests.size());
     for (size_t i = 0; i < digests.size(); ++i) {
       const size_t off = i * kManifestChunkBytes;
       const size_t n = std::min(kManifestChunkBytes, size - off);
-      probes[i] = {digests[i], static_cast<uint32_t>(n), Crc32(bytes + off, n)};
+      chunk_crcs[i] = Crc32(bytes + off, n);
+      probes[i] = {digests[i], static_cast<uint32_t>(n), chunk_crcs[i]};
     }
     // Pins land before the presence answer: a "present" chunk stays present until this
     // tag commits or aborts, whatever GC does in between.
@@ -68,7 +70,7 @@ class LocalStoreWriter final : public StoreWriter {
     ChunkManifestEntry entry;
     entry.name = rel;
     entry.size = size;
-    entry.crc32 = Crc32(data, size);
+    entry.crc32 = CombineChunkCrcs(chunk_crcs, size);
     entry.chunks = digests;
     entry.inherited = inherited;
     entries_.push_back(std::move(entry));

@@ -284,7 +284,7 @@ class RemoteStoreWriter final : public StoreWriter {
     ChunkManifestEntry entry;
     entry.name = rel;
     entry.size = size;
-    entry.crc32 = Crc32(data, size);
+    entry.crc32 = CombineChunkCrcs(chunk_crcs, size);
     entry.chunks = digests;
     entry.inherited = inherited;
     entries_.push_back(std::move(entry));
@@ -527,7 +527,8 @@ Status RemoteStore::ReconnectLocked() {
 
 Status RemoteStore::WriteFileOnceLocked(const std::string& tag, const std::string& rel,
                                         const void* data, size_t size, uint64_t resume,
-                                        uint64_t* sent_high) {
+                                        uint64_t* sent_high,
+                                        std::vector<std::optional<uint32_t>>* chunk_crcs) {
   ByteWriter begin;
   begin.PutString(tag);
   begin.PutString(rel);
@@ -562,7 +563,19 @@ Status RemoteStore::WriteFileOnceLocked(const std::string& tag, const std::strin
     std::this_thread::sleep_for(backoff);
     backoff = std::min(backoff * 2, policy.max_backoff);
   }
-  const uint8_t* p = static_cast<const uint8_t*>(data) + resume;
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  // The CRC of each aligned kWireChunkBytes chunk is computed once per file, whatever the
+  // reconnects: it makes that chunk's frame CRC and, combined, the WRITE_END CRC. A frame
+  // that a mid-chunk resume left unaligned is checksummed on its own.
+  auto chunk_crc = [&](size_t index) {
+    std::optional<uint32_t>& crc = (*chunk_crcs)[index];
+    if (!crc.has_value()) {
+      const size_t off = index * kWireChunkBytes;
+      crc = Crc32(bytes + off, std::min<size_t>(kWireChunkBytes, size - off));
+    }
+    return *crc;
+  };
+  const uint8_t* p = bytes + resume;
   uint64_t offset = resume;
   size_t left = size - resume;
   while (left > 0) {
@@ -571,8 +584,11 @@ Status RemoteStore::WriteFileOnceLocked(const std::string& tag, const std::strin
     // (idempotent), which is what makes resume-after-reconnect safe.
     ByteWriter prefix;
     prefix.PutU64(offset);
+    const uint32_t crc = offset % kWireChunkBytes == 0
+                             ? chunk_crc(static_cast<size_t>(offset / kWireChunkBytes))
+                             : Crc32(p, n);
     Status sent = SendFrame(fd_, WireOp::kWriteChunk, prefix.buffer().data(),
-                            prefix.buffer().size(), p, n);
+                            prefix.buffer().size(), p, n, crc);
     if (!sent.ok()) {
       CloseFdLocked();
       return sent;
@@ -582,8 +598,13 @@ Status RemoteStore::WriteFileOnceLocked(const std::string& tag, const std::strin
     left -= n;
     *sent_high = std::max(*sent_high, offset);
   }
+  uint32_t file_crc = 0;  // CRC of the empty string
+  for (size_t i = 0; i < chunk_crcs->size(); ++i) {
+    file_crc = Crc32Combine(file_crc, chunk_crc(i),
+                            std::min<size_t>(kWireChunkBytes, size - i * kWireChunkBytes));
+  }
   ByteWriter end;
-  end.PutU32(Crc32(data, size));
+  end.PutU32(file_crc);
   return ExchangeLocked(WireOp::kWriteEnd, end.buffer(), WireOp::kOk).status();
 }
 
@@ -607,8 +628,10 @@ Status RemoteStore::WriteFileLocked(const std::string& tag, const std::string& r
 #endif
   uint64_t resume = 0;
   uint64_t sent_high = 0;
+  std::vector<std::optional<uint32_t>> chunk_crcs((size + kWireChunkBytes - 1) /
+                                                  kWireChunkBytes);
   for (int reconnect_round = 0;; ++reconnect_round) {
-    Status s = WriteFileOnceLocked(tag, rel, data, size, resume, &sent_high);
+    Status s = WriteFileOnceLocked(tag, rel, data, size, resume, &sent_high, &chunk_crcs);
     if (s.ok()) {
       return s;
     }

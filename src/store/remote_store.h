@@ -24,6 +24,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -140,10 +141,12 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
   Status WriteFileLocked(const std::string& tag, const std::string& rel, const void* data,
                          size_t size);
   // One BEGIN/CHUNK*/END attempt starting at `resume`; `sent_high` tracks the highest
-  // byte offset ever put on the wire for resumed-vs-restarted accounting.
+  // byte offset ever put on the wire for resumed-vs-restarted accounting, and
+  // `chunk_crcs` caches the CRC of each aligned kWireChunkBytes chunk across attempts.
   Status WriteFileOnceLocked(const std::string& tag, const std::string& rel,
                              const void* data, size_t size, uint64_t resume,
-                             uint64_t* sent_high);
+                             uint64_t* sent_high,
+                             std::vector<std::optional<uint32_t>>* chunk_crcs);
 
   Status ReadRange(RemoteByteSource& src, uint64_t offset, void* out, size_t size);
   void CloseRead(RemoteByteSource& src);

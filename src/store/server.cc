@@ -234,7 +234,7 @@ struct StoreServer::Session {
   std::string spool_path;
   uint64_t write_total = 0;
   uint64_t write_spooled = 0;  // server-acknowledged contiguous prefix
-  uint32_t write_crc = 0;      // running (un-finalized) CRC of the spooled prefix
+  uint32_t write_crc = 0;      // CRC32 of the spooled prefix
   int spool_fd = -1;
 
   uint64_t next_handle = 1;
@@ -832,7 +832,8 @@ Status StoreServer::HandleWriteBegin(const WireFrame& frame, Session& session) {
     ::close(spool_fd);
     return IoError("cannot truncate spool " + spool);
   }
-  // Re-seed the running CRC over the prefix being kept.
+  // Re-seed the CRC over the prefix being kept, reading it back from the spool: a byte
+  // that rotted there fails WRITE_END.
   uint32_t crc = Crc32Init();
   if (resume > 0) {
     std::vector<uint8_t> buf(64 << 10);
@@ -898,7 +899,7 @@ Status StoreServer::HandleWriteBegin(const WireFrame& frame, Session& session) {
   session.spool_path = spool;
   session.write_total = total;
   session.write_spooled = resume;
-  session.write_crc = crc;
+  session.write_crc = Crc32Finalize(crc);
   session.spool_fd = spool_fd;
   return OkStatus();
 }
@@ -922,6 +923,11 @@ Status StoreServer::HandleWriteChunk(const WireFrame& frame, Session& session) {
   if (skip >= n) {
     return OkStatus();
   }
+  // The data's CRC is the payload CRC RecvFrame computed, less the offset prefix; only the
+  // unseen tail of an overlapping chunk is checksummed again.
+  const uint32_t data_crc =
+      skip == 0 ? Crc32StripPrefix(frame.payload_crc, Crc32(frame.payload.data(), 8), n)
+                : Crc32(data + skip, n - static_cast<size_t>(skip));
   data += skip;
   n -= static_cast<size_t>(skip);
   if (session.write_spooled + n > session.write_total) {
@@ -929,7 +935,7 @@ Status StoreServer::HandleWriteChunk(const WireFrame& frame, Session& session) {
   }
   UCP_RETURN_IF_ERROR(
       PwriteAll(session.spool_fd, data, n, session.write_spooled, session.spool_path));
-  session.write_crc = Crc32Update(session.write_crc, data, n);
+  session.write_crc = Crc32Combine(session.write_crc, data_crc, n);
   session.write_spooled += n;
   return OkStatus();
 }
@@ -947,7 +953,7 @@ Status StoreServer::HandleWriteEnd(const WireFrame& frame, Session& session) {
                          std::to_string(session.write_spooled) + " of " +
                          std::to_string(session.write_total) + " bytes");
   }
-  if (Crc32Finalize(session.write_crc) != want_crc) {
+  if (session.write_crc != want_crc) {
     // The spooled bytes are wrong end to end; resuming into them would re-publish the
     // corruption, so the spool dies with the error and a retry restarts from zero.
     AbandonOpenWrite(session);
@@ -1081,7 +1087,8 @@ Result<std::vector<uint8_t>> StoreServer::HandleOpenRead(const WireFrame& frame,
 }
 
 Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame,
-                                                          Session& session) {
+                                                          Session& session,
+                                                          std::optional<uint32_t>* reply_crc) {
   ByteReader r(frame.payload.data(), frame.payload.size());
   UCP_ASSIGN_OR_RETURN(uint64_t handle, r.GetU64());
   UCP_ASSIGN_OR_RETURN(uint64_t offset, r.GetU64());
@@ -1130,6 +1137,12 @@ Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame
                                std::to_string(region.chunk_crcs.size()) + ")");
         }
         open.verified[ri][static_cast<size_t>(c)] = true;
+        if (chunk_begin == offset && chunk_end == offset + len) {
+          // The range is exactly this chunk: ship the bytes just verified, under the
+          // chunk's CRC, with no second read or checksum pass.
+          *reply_crc = region.chunk_crcs[static_cast<size_t>(c)];
+          return chunk_buf;
+        }
       }
     }
   }
@@ -1199,6 +1212,7 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
 
   Status status = OkStatus();
   Result<std::vector<uint8_t>> payload = std::vector<uint8_t>();
+  std::optional<uint32_t> payload_crc;  // set when the handler already holds the CRC
   WireOp reply_op = WireOp::kOk;
   switch (frame.op) {
     case WireOp::kPing:
@@ -1264,7 +1278,7 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       break;
     }
     case WireOp::kReadRange: {
-      payload = HandleReadRange(frame, session);
+      payload = HandleReadRange(frame, session, &payload_crc);
       if (!payload.ok()) {
         status = payload.status();
       }
@@ -1570,7 +1584,10 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
         (frame.op == WireOp::kSessionOpen || frame.op == WireOp::kSessionRenew);
     sent = SendError(fd, status, drain_refusal ? 1000u : 0u);
   } else {
-    sent = SendFrame(fd, reply_op, *payload);
+    sent = payload_crc.has_value()
+               ? SendFrame(fd, reply_op, nullptr, 0, payload->data(), payload->size(),
+                           *payload_crc)
+               : SendFrame(fd, reply_op, *payload);
     ServerMetrics::Get().bytes_out.Add(9 + payload->size() + 4);
   }
   return sent.ok();

@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -135,7 +136,9 @@ class StoreServer {
   Status HandleWriteEnd(const WireFrame& frame, Session& session);
   Result<std::vector<uint8_t>> HandleWriteResume(const WireFrame& frame);
   Result<std::vector<uint8_t>> HandleSessionOpen(const WireFrame& frame, Session& session);
-  Result<std::vector<uint8_t>> HandleReadRange(const WireFrame& frame, Session& session);
+  // Sets `reply_crc` when the reply is one chunk it just verified, whose CRC is known.
+  Result<std::vector<uint8_t>> HandleReadRange(const WireFrame& frame, Session& session,
+                                               std::optional<uint32_t>* reply_crc);
   Result<std::vector<uint8_t>> HandleOpenRead(const WireFrame& frame, Session& session);
   void AbandonOpenWrite(Session& session);
   // Releases every resource the lease holds (budget, pins) and drops it from the table.

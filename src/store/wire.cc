@@ -307,7 +307,7 @@ void ClearSocketFaults() {
 }
 
 Status SendFrame(int fd, WireOp op, const void* prefix, size_t prefix_len,
-                 const void* payload, size_t len) {
+                 const void* payload, size_t len, uint32_t payload_crc) {
   const size_t total = prefix_len + len;
   if (total > kMaxFramePayload) {
     return InvalidArgumentError("wire frame payload too large: " + std::to_string(total));
@@ -327,13 +327,14 @@ Status SendFrame(int fd, WireOp op, const void* prefix, size_t prefix_len,
   // CRC covers the type byte + payload (not the length field), matching RecvFrame.
   uint32_t crc = Crc32Init();
   crc = Crc32Update(crc, buf.data() + 4, 1);
-  crc = Crc32Update(crc, buf.data() + 9, total);
-  StoreU32(buf.data() + 9 + total, Crc32Finalize(crc));
+  crc = Crc32Update(crc, buf.data() + 9, prefix_len);
+  StoreU32(buf.data() + 9 + total, Crc32Combine(Crc32Finalize(crc), payload_crc, len));
   return SendAll(fd, buf.data(), buf.size());
 }
 
 Status SendFrame(int fd, WireOp op, const void* payload, size_t len) {
-  return SendFrame(fd, op, /*prefix=*/nullptr, /*prefix_len=*/0, payload, len);
+  return SendFrame(fd, op, /*prefix=*/nullptr, /*prefix_len=*/0, payload, len,
+                   Crc32(payload, len));
 }
 
 Result<WireFrame> RecvFrame(int fd, uint32_t max_payload) {
@@ -356,10 +357,8 @@ Result<WireFrame> RecvFrame(int fd, uint32_t max_payload) {
   }
   uint8_t crc_buf[4];
   UCP_RETURN_IF_ERROR(RecvAll(fd, crc_buf, sizeof(crc_buf), /*at_frame_boundary=*/false));
-  uint32_t crc = Crc32Init();
-  crc = Crc32Update(crc, header + 4, 1);
-  crc = Crc32Update(crc, frame.payload.data(), frame.payload.size());
-  if (LoadU32(crc_buf) != Crc32Finalize(crc)) {
+  frame.payload_crc = Crc32(frame.payload.data(), frame.payload.size());
+  if (LoadU32(crc_buf) != Crc32Combine(Crc32(header + 4, 1), frame.payload_crc, len)) {
     return DataLossError("torn wire frame: CRC mismatch");
   }
   return frame;

@@ -102,6 +102,10 @@ enum class WireOp : uint8_t {
 struct WireFrame {
   WireOp op = WireOp::kPing;
   std::vector<uint8_t> payload;
+  // CRC32 of `payload` alone, which RecvFrame computed on the way to checking the frame
+  // CRC; a handler derives CRCs of payload slices from it with Crc32StripPrefix instead of
+  // checksumming the bytes again.
+  uint32_t payload_crc = 0;
 };
 
 // Stable lowercase name for an op ("write_begin", "commit_tag", ...; "op_unknown" for
@@ -113,8 +117,10 @@ const char* WireOpName(WireOp op);
 Status SendFrame(int fd, WireOp op, const void* payload, size_t len);
 // Two-part payload (prefix ++ body in one frame): the WRITE_CHUNK path prepends the
 // u64 offset to a chunk that lives in the caller's tensor buffer without an extra copy.
+// `payload_crc` is the caller's CRC32 of the body; the frame CRC is combined from it, so
+// the body is not checksummed again.
 Status SendFrame(int fd, WireOp op, const void* prefix, size_t prefix_len,
-                 const void* payload, size_t len);
+                 const void* payload, size_t len, uint32_t payload_crc);
 inline Status SendFrame(int fd, WireOp op, const std::vector<uint8_t>& payload) {
   return SendFrame(fd, op, payload.data(), payload.size());
 }

@@ -201,19 +201,28 @@ Status VerifyChunks(const uint8_t* payload, uint64_t payload_bytes, uint32_t chu
 // Bundles use the same prologue, then meta string + entry table (each entry additionally
 // records its absolute payload offset), header_crc, concatenated payloads, file_crc.
 
-void PutChunkTable(ByteWriter& w, const std::vector<uint8_t>& payload, uint32_t chunk_bytes) {
+// Writes the chunk table of `payload` and returns the CRC of the whole payload, combined
+// from the chunk CRCs so the payload bytes are checksummed once.
+uint32_t PutChunkTable(ByteWriter& w, const std::vector<uint8_t>& payload,
+                       uint32_t chunk_bytes) {
   uint32_t num_chunks = NumChunksFor(payload.size(), chunk_bytes);
   w.PutU32(chunk_bytes);
   w.PutU32(num_chunks);
+  uint32_t payload_crc = 0;  // CRC of the empty string
   for (uint32_t ci = 0; ci < num_chunks; ++ci) {
     uint64_t start = ci * static_cast<uint64_t>(chunk_bytes);
     uint64_t size = std::min<uint64_t>(chunk_bytes, payload.size() - start);
-    w.PutU32(Crc32(payload.data() + start, static_cast<size_t>(size)));
+    const uint32_t crc = Crc32(payload.data() + start, static_cast<size_t>(size));
+    w.PutU32(crc);
+    payload_crc = Crc32Combine(payload_crc, crc, size);
   }
+  return payload_crc;
 }
 
+// `payload_crcs[i]` is the CRC PutChunkTable returned for `payloads[i]`.
 std::vector<uint8_t> BuildV3(ByteWriter& header,
                              const std::vector<const std::vector<uint8_t>*>& payloads,
+                             const std::vector<uint32_t>& payload_crcs,
                              const std::vector<size_t>& offset_patch_positions) {
   std::vector<uint8_t> buf = header.TakeBuffer();
   uint64_t header_bytes = buf.size() + 4;  // + header_crc
@@ -223,11 +232,16 @@ std::vector<uint8_t> BuildV3(ByteWriter& header,
     PatchU64(buf, offset_patch_positions[i], running);
     running += payloads[i]->size();
   }
-  AppendU32(buf, Crc32(buf.data(), buf.size()));  // header_crc
-  for (const std::vector<uint8_t>* p : payloads) {
-    buf.insert(buf.end(), p->begin(), p->end());
+  const uint32_t header_state = Crc32Update(Crc32Init(), buf.data(), buf.size());
+  AppendU32(buf, Crc32Finalize(header_state));  // header_crc
+  // file_crc continues over the header_crc field, then folds in each payload's CRC instead
+  // of a second pass over the payload bytes.
+  uint32_t file_crc = Crc32Finalize(Crc32Update(header_state, buf.data() + buf.size() - 4, 4));
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    buf.insert(buf.end(), payloads[i]->begin(), payloads[i]->end());
+    file_crc = Crc32Combine(file_crc, payload_crcs[i], payloads[i]->size());
   }
-  AppendU32(buf, Crc32(buf.data(), buf.size()));  // file_crc
+  AppendU32(buf, file_crc);
   return buf;
 }
 
@@ -285,18 +299,53 @@ Result<std::string> SlurpSource(ByteSource& source) {
   return contents;
 }
 
-// The prologue check of a file about to be range-read. A version field other than
-// kFormatVersion takes the cold path — one whole-file read — so the trailing CRC can tell
-// bit rot (kDataLoss) from a file of another format version (kFailedPrecondition).
-Status CheckSourcePrologue(ByteSource& source, uint32_t magic, const char* kind) {
+// The first read of a file about to be range-read: up to kHeadReadBytes from offset 0,
+// which holds the prologue, the header size and, unless the header is larger, the whole
+// header prefix — one positional read (one READ_RANGE round trip over a remote source).
+constexpr size_t kHeadReadBytes = 4096;
+
+Result<std::vector<uint8_t>> ReadHead(ByteSource& source) {
+  std::vector<uint8_t> head(static_cast<size_t>(
+      std::min<uint64_t>(source.size(), kHeadReadBytes)));
+  UCP_RETURN_IF_ERROR(source.ReadAt(0, head.data(), head.size()));
+  CountRead(head.size());
+  return head;
+}
+
+// Completes the [0, header_bytes) prefix of a v3 file (prologue already checked) from its
+// head, reading only what a header larger than the head still needs.
+Result<std::vector<uint8_t>> CompleteV3Prefix(ByteSource& f, std::vector<uint8_t> head,
+                                              const char* kind) {
+  if (f.size() < 24) {
+    return DataLossError(std::string(kind) + " file truncated: " + f.name());
+  }
+  const uint64_t header_bytes = LoadU64(head.data() + 12);
+  if (header_bytes < 24 || header_bytes + 4 > f.size()) {
+    return DataLossError(std::string(kind) + " header size out of range in " + f.name());
+  }
+  const size_t have = head.size();
+  head.resize(static_cast<size_t>(header_bytes));
+  if (header_bytes > have) {
+    UCP_RETURN_IF_ERROR(f.ReadAt(have, head.data() + have, head.size() - have));
+    CountRead(head.size() - have);
+  }
+  return head;
+}
+
+// The header prefix of a v3 file about to be range-read, prologue checked. A version field
+// other than kFormatVersion takes the cold path — one whole-file read — so the trailing
+// CRC can tell bit rot (kDataLoss) from a file of another format version
+// (kFailedPrecondition).
+Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& source, uint32_t magic,
+                                          const char* kind) {
   if (source.size() < 16) {
     return DataLossError(std::string(kind) + " file truncated: " + source.name());
   }
-  uint8_t prologue[12];
-  UCP_RETURN_IF_ERROR(source.ReadAt(0, prologue, sizeof(prologue)));
-  UCP_ASSIGN_OR_RETURN(uint32_t version, CheckPrologue(prologue, magic, kind, source.name()));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> head, ReadHead(source));
+  UCP_ASSIGN_OR_RETURN(uint32_t version,
+                       CheckPrologue(head.data(), magic, kind, source.name()));
   if (version == kFormatVersion) {
-    return OkStatus();
+    return CompleteV3Prefix(source, std::move(head), kind);
   }
   UCP_ASSIGN_OR_RETURN(std::string contents, SlurpSource(source));
   UCP_RETURN_IF_ERROR(CheckWholeFile(contents, magic, kind, source.name()).status());
@@ -424,23 +473,6 @@ Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
   return out;
 }
 
-// Reads the [0, header_bytes) prefix of a v3 file (prologue already checked).
-Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& f, const char* kind) {
-  if (f.size() < 24) {
-    return DataLossError(std::string(kind) + " file truncated: " + f.name());
-  }
-  uint8_t head[20];
-  UCP_RETURN_IF_ERROR(f.ReadAt(0, head, sizeof(head)));
-  uint64_t header_bytes = LoadU64(head + 12);
-  if (header_bytes < 24 || header_bytes + 4 > f.size()) {
-    return DataLossError(std::string(kind) + " header size out of range in " + f.name());
-  }
-  std::vector<uint8_t> prefix(static_cast<size_t>(header_bytes));
-  UCP_RETURN_IF_ERROR(f.ReadAt(0, prefix.data(), prefix.size()));
-  CountRead(prefix.size());
-  return prefix;
-}
-
 // The chunk-verifying positional read shared by TensorFileView and BundleFileView: decodes
 // elements [elem_begin, elem_begin + elem_count) of a payload living at `payload_offset` in
 // `f`. Unverified chunks are read whole (and their CRC checked once); already-verified
@@ -564,8 +596,8 @@ Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor, DType dtype) 
   w.PutU64(0);  // header_bytes, patched by BuildV3
   PutHeader(w, tensor, dtype);
   w.PutU64(payload.size());
-  PutChunkTable(w, payload, PickChunkBytes(payload.size()));
-  return BuildV3(w, {&payload}, {});
+  const uint32_t payload_crc = PutChunkTable(w, payload, PickChunkBytes(payload.size()));
+  return BuildV3(w, {&payload}, {payload_crc}, {});
 }
 
 Result<Tensor> LoadTensor(const std::string& path) {
@@ -605,8 +637,8 @@ Result<TensorFileView> TensorFileView::Open(const std::string& path) {
 
 Result<TensorFileView> TensorFileView::Open(std::unique_ptr<ByteSource> source) {
   const std::string path = source->name();
-  UCP_RETURN_IF_ERROR(CheckSourcePrologue(*source, kTensorMagic, "tensor"));
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(*source, "tensor"));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
+                       ReadV3Prefix(*source, kTensorMagic, "tensor"));
   UCP_ASSIGN_OR_RETURN(V3TensorHeader h,
                        ParseV3TensorPrefix(prefix.data(), prefix.size(), path));
   if (prefix.size() + h.info.payload_bytes + 4 != source->size()) {
@@ -738,17 +770,18 @@ Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle, DType d
   w.PutU32(static_cast<uint32_t>(bundle.tensors.size()));
   std::vector<size_t> offset_positions;
   std::vector<const std::vector<uint8_t>*> payload_ptrs;
+  std::vector<uint32_t> payload_crcs;
   for (size_t i = 0; i < bundle.tensors.size(); ++i) {
     const auto& [name, tensor] = bundle.tensors[i];
     w.PutString(name);
     PutHeader(w, tensor, dtype);
     w.PutU64(payloads[i].size());
-    PutChunkTable(w, payloads[i], PickChunkBytes(payloads[i].size()));
+    payload_crcs.push_back(PutChunkTable(w, payloads[i], PickChunkBytes(payloads[i].size())));
     offset_positions.push_back(w.size());
     w.PutU64(0);  // payload_offset, patched by BuildV3
     payload_ptrs.push_back(&payloads[i]);
   }
-  return BuildV3(w, payload_ptrs, offset_positions);
+  return BuildV3(w, payload_ptrs, payload_crcs, offset_positions);
 }
 
 Status SaveBundle(const std::string& path, const TensorBundle& bundle, DType dtype) {
@@ -806,8 +839,8 @@ Result<BundleFileView> BundleFileView::Open(const std::string& path) {
 
 Result<BundleFileView> BundleFileView::Open(std::unique_ptr<ByteSource> source) {
   const std::string path = source->name();
-  UCP_RETURN_IF_ERROR(CheckSourcePrologue(*source, kBundleMagic, "bundle"));
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(*source, "bundle"));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
+                       ReadV3Prefix(*source, kBundleMagic, "bundle"));
   UCP_ASSIGN_OR_RETURN(V3BundleHeader h,
                        ParseV3BundlePrefix(prefix.data(), prefix.size(), path));
   if (h.payload_end + 4 != source->size()) {
@@ -874,20 +907,20 @@ Result<std::optional<FileChunkIndex>> ReadFileChunkIndex(ByteSource& source) {
   if (source.size() < 16) {
     return std::optional<FileChunkIndex>(std::nullopt);
   }
-  uint8_t prologue[12];
-  UCP_RETURN_IF_ERROR(source.ReadAt(0, prologue, sizeof(prologue)));
-  const uint32_t magic = LoadU32(prologue);
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> head, ReadHead(source));
+  const uint32_t magic = LoadU32(head.data());
   const bool is_tensor = magic == kTensorMagic;
   if (!is_tensor && magic != kBundleMagic) {
     return std::optional<FileChunkIndex>(std::nullopt);
   }
   const char* kind = is_tensor ? "tensor" : "bundle";
-  UCP_ASSIGN_OR_RETURN(uint32_t version, CheckPrologue(prologue, magic, kind, source.name()));
+  UCP_ASSIGN_OR_RETURN(uint32_t version, CheckPrologue(head.data(), magic, kind, source.name()));
   if (version != kFormatVersion) {
     // No chunk table to verify against; the reader's own whole-file check classifies it.
     return std::optional<FileChunkIndex>(std::nullopt);
   }
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(source, kind));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
+                       CompleteV3Prefix(source, std::move(head), kind));
   FileChunkIndex index;
   if (is_tensor) {
     UCP_ASSIGN_OR_RETURN(V3TensorHeader h,

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "src/common/bytes.h"
-#include "src/common/crc32.h"
 #include "src/common/fs.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
@@ -155,28 +154,6 @@ TEST(CounterRngTest, GaussianMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.05);
   EXPECT_NEAR(sq / n, 1.0, 0.05);
-}
-
-// ---------------- CRC32 ----------------
-
-TEST(Crc32Test, KnownVector) {
-  // CRC32("123456789") = 0xCBF43926 (standard check value).
-  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
-}
-
-TEST(Crc32Test, IncrementalMatchesOneShot) {
-  const char* data = "hello universal checkpointing";
-  uint32_t crc = Crc32Init();
-  crc = Crc32Update(crc, data, 5);
-  crc = Crc32Update(crc, data + 5, 24);
-  EXPECT_EQ(Crc32Finalize(crc), Crc32(data, 29));
-}
-
-TEST(Crc32Test, DetectsFlip) {
-  std::string data = "some checkpoint payload";
-  uint32_t before = Crc32(data.data(), data.size());
-  data[3] ^= 1;
-  EXPECT_NE(Crc32(data.data(), data.size()), before);
 }
 
 // ---------------- Bytes ----------------

@@ -34,6 +34,7 @@
 
 #include "src/ckpt/checkpoint.h"
 #include "src/common/bytes.h"
+#include "src/common/crc32.h"
 #include "src/common/fs.h"
 #include "src/common/json.h"
 #include "src/model/config.h"
@@ -578,6 +579,90 @@ TEST_F(StoreServerTest, HostileWriteBeginTotalIsRejectedNotFatal) {
 
   ::close(fds[0]);
   serve.join();
+}
+
+// The server derives its running WRITE_END CRC from each WRITE_CHUNK frame's CRC. A chunk
+// resent over the acknowledged prefix contributes only its unseen tail, checksummed on its
+// own, and the WRITE_END CRC still matches; a resumed write re-reads its spooled prefix, so
+// a byte that rotted in the spool fails WRITE_END as kDataLoss.
+TEST_F(StoreServerTest, ResumedOverlappingWriteChunkKeepsWriteEndCrc) {
+  std::vector<uint8_t> body(3 * 65536 + 5);
+  for (size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<uint8_t>((i * 131 + 7) & 0xff);
+  }
+  const uint64_t acked = 100000;
+  // One raw connection under lease "resume-lease": HELLO, SESSION_OPEN, then `frames`.
+  auto run = [&](const std::vector<std::pair<WireOp, std::vector<uint8_t>>>& frames) {
+    int fds[2];
+    UCP_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
+    std::thread serve([&] { server_->ServeConnectionForTest(fds[1]); });
+    std::vector<uint8_t> hello;
+    PutU32Le(hello, kWireVersion);
+    PutU32Le(hello, kWireVersion);
+    ByteWriter lease;
+    lease.PutString("resume-lease");
+    lease.PutU32(60000);
+    std::vector<std::pair<WireOp, std::vector<uint8_t>>> all = {
+        {WireOp::kHello, hello}, {WireOp::kSessionOpen, lease.buffer()}};
+    all.insert(all.end(), frames.begin(), frames.end());
+    std::vector<WireFrame> replies;
+    for (const auto& [op, payload] : all) {
+      EXPECT_TRUE(SendFrame(fds[0], op, payload).ok());
+      if (op != WireOp::kWriteChunk) {
+        Result<WireFrame> reply = RecvFrame(fds[0]);
+        EXPECT_TRUE(reply.ok()) << reply.status();
+        replies.push_back(reply.ok() ? *reply : WireFrame{});
+      }
+    }
+    ::close(fds[0]);
+    serve.join();
+    return replies.back();  // the WRITE_END reply
+  };
+  auto begin = [&](const std::string& rel, uint64_t resume) {
+    ByteWriter w;
+    w.PutString("global_step1");
+    w.PutString(rel);
+    w.PutU64(body.size());
+    w.PutU64(resume);
+    return std::make_pair(WireOp::kWriteBegin, w.TakeBuffer());
+  };
+  auto chunk = [&](uint64_t offset, uint64_t end) {
+    ByteWriter w;
+    w.PutU64(offset);
+    w.PutBytes(body.data() + offset, end - offset);
+    return std::make_pair(WireOp::kWriteChunk, w.TakeBuffer());
+  };
+  ByteWriter end_payload;
+  end_payload.PutU32(Crc32(body.data(), body.size()));
+  const auto end = std::make_pair(WireOp::kWriteEnd, end_payload.TakeBuffer());
+
+  // One connection: the second chunk restarts mid-way through the first, the third lies
+  // wholly inside the acknowledged prefix.
+  WireFrame done = run({begin("overlap", 0), chunk(0, acked), chunk(acked / 2, body.size()),
+                        chunk(0, 10), end});
+  EXPECT_EQ(done.op, WireOp::kOk);
+  Result<std::string> staged =
+      ReadFileToString(PathJoin(StagingDirForTag(dir_, "global_step1"), "overlap"));
+  ASSERT_TRUE(staged.ok()) << staged.status();
+  EXPECT_EQ(*staged, std::string(body.begin(), body.end()));
+
+  // Two files stop at `acked` when their connection closes, then resume on a new one with
+  // a chunk that starts before `acked`.
+  const auto ping = std::make_pair(WireOp::kPing, std::vector<uint8_t>{});
+  EXPECT_EQ(run({begin("clean", 0), chunk(0, acked), ping}).op, WireOp::kOk);
+  EXPECT_EQ(run({begin("rotted", 0), chunk(0, acked), ping}).op, WireOp::kOk);
+  const std::string spool = PathJoin(WipDirForTag(dir_, "global_step1"), "rotted");
+  std::string spooled = *ReadFileToString(spool);
+  ASSERT_EQ(spooled.size(), acked);
+  spooled[4242] ^= 0x10;
+  ASSERT_TRUE(WriteFileAtomic(spool, spooled).ok());
+
+  done = run({begin("clean", acked), chunk(acked - 1000, body.size()), end});
+  EXPECT_EQ(done.op, WireOp::kOk);
+  done = run({begin("rotted", acked), chunk(acked - 1000, body.size()), end});
+  ASSERT_EQ(done.op, WireOp::kError);
+  ASSERT_FALSE(done.payload.empty());
+  EXPECT_EQ(done.payload[0], static_cast<uint8_t>(StatusCode::kDataLoss));
 }
 
 // Property 4c: an honest file bigger than the whole staging budget fails typed and fast
