@@ -162,11 +162,10 @@ std::vector<uint8_t> ChunkIndex::PinAndQuery(const std::string& tag,
   return present;
 }
 
-Status ChunkIndex::Put(uint64_t digest, const void* raw, size_t raw_size,
+Status ChunkIndex::Put(uint64_t digest, const void* raw, size_t raw_size, uint32_t raw_crc,
                        bool try_compress, ChunkedWriteStats* stats) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::string path = ObjectPath(digest);
-  const uint32_t raw_crc = Crc32(raw, raw_size);
   if (FileExists(path)) {
     Result<ChunkObjectHeader> existing = ReadObjectHeader(path);
     if (existing.ok()) {

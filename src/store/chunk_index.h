@@ -136,14 +136,16 @@ class ChunkIndex {
   std::vector<uint8_t> PinAndQuery(const std::string& tag,
                                    const std::vector<ChunkProbe>& probes);
 
-  // Stores digest -> raw bytes unless already present. With `try_compress`, the payload
-  // is LZ-compressed and kept only if it beats the raw size by >= 1/16. Updates `stats`
-  // (bytes_written / chunks_compressed; presence accounting is the caller's). A dedup
-  // hit verifies the existing object's header against the incoming bytes: a mismatch is
-  // kFailedPrecondition (digest collision — refusing to alias), and an object whose
-  // header no longer parses is rewritten in place (heals torn objects).
-  Status Put(uint64_t digest, const void* raw, size_t raw_size, bool try_compress,
-             ChunkedWriteStats* stats);
+  // Stores digest -> raw bytes unless already present. `raw_crc` is the caller's CRC32 of
+  // the raw bytes (the writer has it from its probe), so they are not checksummed again.
+  // With `try_compress`, the payload is LZ-compressed and kept only if it beats the raw
+  // size by >= 1/16. Updates `stats` (bytes_written / chunks_compressed; presence
+  // accounting is the caller's). A dedup hit verifies the existing object's header
+  // against the incoming size and CRC: a mismatch is kFailedPrecondition (digest
+  // collision — refusing to alias), and an object whose header no longer parses is
+  // rewritten in place (heals torn objects).
+  Status Put(uint64_t digest, const void* raw, size_t raw_size, uint32_t raw_crc,
+             bool try_compress, ChunkedWriteStats* stats);
 
   // Stores an already-encoded object (the daemon accepting a client's pre-compressed
   // chunk). The encoding is decoded and CRC-verified, and the decoded bytes must hash to

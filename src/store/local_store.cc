@@ -65,7 +65,8 @@ class LocalStoreWriter final : public StoreWriter {
       }
       const size_t off = i * kManifestChunkBytes;
       const size_t n = std::min(kManifestChunkBytes, size - off);
-      UCP_RETURN_IF_ERROR(index->Put(digests[i], bytes + off, n, compress, &stats));
+      UCP_RETURN_IF_ERROR(
+          index->Put(digests[i], bytes + off, n, chunk_crcs[i], compress, &stats));
     }
     ChunkManifestEntry entry;
     entry.name = rel;

@@ -184,6 +184,12 @@ struct StoreServer::OpenRead {
   // one — served unverified (the client's own checks still apply and classify it).
   std::optional<FileChunkIndex> index;
   std::vector<std::vector<bool>> verified;  // parallel to index->regions
+  // The chunk this handle last verified, kept in memory: a range inside it is answered
+  // without a pread, and a range that is exactly it ships under its chunk CRC.
+  uint64_t window_begin = 0;
+  uint64_t window_end = 0;
+  uint32_t window_crc = 0;
+  std::vector<uint8_t> window;
 };
 
 // What the admission budget and chunk pins are attributed to. Every session holds exactly
@@ -1086,9 +1092,9 @@ Result<std::vector<uint8_t>> StoreServer::HandleOpenRead(const WireFrame& frame,
   return w.TakeBuffer();
 }
 
-Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame,
-                                                          Session& session,
-                                                          std::optional<uint32_t>* reply_crc) {
+Result<std::span<const uint8_t>> StoreServer::HandleReadRange(
+    const WireFrame& frame, Session& session, std::vector<uint8_t>* read_buf,
+    std::optional<uint32_t>* reply_crc) {
   ByteReader r(frame.payload.data(), frame.payload.size());
   UCP_ASSIGN_OR_RETURN(uint64_t handle, r.GetU64());
   UCP_ASSIGN_OR_RETURN(uint64_t offset, r.GetU64());
@@ -1109,7 +1115,6 @@ Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame
   // Server-side verification: every chunk the range touches must pass its CRC before the
   // payload ships (each chunk checked at most once per handle).
   if (open.index.has_value()) {
-    std::vector<uint8_t> chunk_buf;
     for (size_t ri = 0; ri < open.index->regions.size(); ++ri) {
       const ChunkRegion& region = open.index->regions[ri];
       const uint64_t lo = std::max<uint64_t>(offset, region.begin);
@@ -1126,29 +1131,33 @@ Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame
         const uint64_t chunk_begin = region.begin + c * region.chunk_bytes;
         const uint64_t chunk_end =
             std::min<uint64_t>(chunk_begin + region.chunk_bytes, region.end);
-        chunk_buf.resize(static_cast<size_t>(chunk_end - chunk_begin));
+        open.window_begin = open.window_end = 0;  // its buffer is about to be overwritten
+        open.window.resize(static_cast<size_t>(chunk_end - chunk_begin));
         UCP_RETURN_IF_ERROR(
-            open.source->ReadAt(chunk_begin, chunk_buf.data(), chunk_buf.size()));
-        if (Crc32(chunk_buf.data(), chunk_buf.size()) !=
-            region.chunk_crcs[static_cast<size_t>(c)]) {
+            open.source->ReadAt(chunk_begin, open.window.data(), open.window.size()));
+        const uint32_t crc = region.chunk_crcs[static_cast<size_t>(c)];
+        if (Crc32(open.window.data(), open.window.size()) != crc) {
           ServerMetrics::Get().chunk_crc_failures.Add(1);
           return DataLossError("per-tensor CRC mismatch in " + open.rel + " (chunk " +
                                std::to_string(c) + " of " +
                                std::to_string(region.chunk_crcs.size()) + ")");
         }
         open.verified[ri][static_cast<size_t>(c)] = true;
-        if (chunk_begin == offset && chunk_end == offset + len) {
-          // The range is exactly this chunk: ship the bytes just verified, under the
-          // chunk's CRC, with no second read or checksum pass.
-          *reply_crc = region.chunk_crcs[static_cast<size_t>(c)];
-          return chunk_buf;
-        }
+        open.window_begin = chunk_begin;
+        open.window_end = chunk_end;
+        open.window_crc = crc;
       }
     }
   }
-  std::vector<uint8_t> out(len);
-  UCP_RETURN_IF_ERROR(open.source->ReadAt(offset, out.data(), out.size()));
-  return out;
+  if (len > 0 && open.window_begin <= offset && offset + len <= open.window_end) {
+    if (offset == open.window_begin && offset + len == open.window_end) {
+      *reply_crc = open.window_crc;  // no checksum pass over bytes just verified
+    }
+    return std::span<const uint8_t>(open.window.data() + (offset - open.window_begin), len);
+  }
+  read_buf->resize(len);
+  UCP_RETURN_IF_ERROR(open.source->ReadAt(offset, read_buf->data(), read_buf->size()));
+  return std::span<const uint8_t>(*read_buf);
 }
 
 bool StoreServer::HandleFrame(int fd, const WireFrame& frame, Session& session) {
@@ -1213,6 +1222,8 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
   Status status = OkStatus();
   Result<std::vector<uint8_t>> payload = std::vector<uint8_t>();
   std::optional<uint32_t> payload_crc;  // set when the handler already holds the CRC
+  // Set when the reply bytes live outside `payload` (a READ_RANGE answered from memory).
+  std::optional<std::span<const uint8_t>> reply_body;
   WireOp reply_op = WireOp::kOk;
   switch (frame.op) {
     case WireOp::kPing:
@@ -1278,9 +1289,12 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       break;
     }
     case WireOp::kReadRange: {
-      payload = HandleReadRange(frame, session, &payload_crc);
-      if (!payload.ok()) {
-        status = payload.status();
+      Result<std::span<const uint8_t>> range =
+          HandleReadRange(frame, session, &*payload, &payload_crc);
+      if (range.ok()) {
+        reply_body = *range;
+      } else {
+        status = range.status();
       }
       reply_op = WireOp::kBytes;
       break;
@@ -1584,11 +1598,11 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
         (frame.op == WireOp::kSessionOpen || frame.op == WireOp::kSessionRenew);
     sent = SendError(fd, status, drain_refusal ? 1000u : 0u);
   } else {
+    const std::span<const uint8_t> body = reply_body.value_or(*payload);
     sent = payload_crc.has_value()
-               ? SendFrame(fd, reply_op, nullptr, 0, payload->data(), payload->size(),
-                           *payload_crc)
-               : SendFrame(fd, reply_op, *payload);
-    ServerMetrics::Get().bytes_out.Add(9 + payload->size() + 4);
+               ? SendFrame(fd, reply_op, nullptr, 0, body.data(), body.size(), *payload_crc)
+               : SendFrame(fd, reply_op, body.data(), body.size());
+    ServerMetrics::Get().bytes_out.Add(9 + body.size() + 4);
   }
   return sent.ok();
 }

@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,9 +137,12 @@ class StoreServer {
   Status HandleWriteEnd(const WireFrame& frame, Session& session);
   Result<std::vector<uint8_t>> HandleWriteResume(const WireFrame& frame);
   Result<std::vector<uint8_t>> HandleSessionOpen(const WireFrame& frame, Session& session);
-  // Sets `reply_crc` when the reply is one chunk it just verified, whose CRC is known.
-  Result<std::vector<uint8_t>> HandleReadRange(const WireFrame& frame, Session& session,
-                                               std::optional<uint32_t>* reply_crc);
+  // Returns the reply bytes: held by the handle when the range lies inside the chunk it
+  // last verified, else read into `*read_buf`. Sets `reply_crc` when the reply is exactly
+  // that chunk, whose CRC is known.
+  Result<std::span<const uint8_t>> HandleReadRange(const WireFrame& frame, Session& session,
+                                                   std::vector<uint8_t>* read_buf,
+                                                   std::optional<uint32_t>* reply_crc);
   Result<std::vector<uint8_t>> HandleOpenRead(const WireFrame& frame, Session& session);
   void AbandonOpenWrite(Session& session);
   // Releases every resource the lease holds (budget, pins) and drops it from the table.

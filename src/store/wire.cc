@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -118,8 +119,11 @@ ssize_t InjectErrnoDrop(int fd, int err) {
   return -1;
 }
 
-ssize_t SendSyscall(int fd, const void* buf, size_t len) {
+// One gathered send of `iov` (whose first part is non-empty); the fault kinds act on it as
+// on a plain send of the concatenated bytes.
+ssize_t SendSyscall(int fd, const iovec* iov, int iovcnt) {
   SocketFault fault;
+  iovec first_byte;
   if (TakeFault(SocketFault::Op::kSend, &fault)) {
     switch (fault.kind) {
       case SocketFault::Kind::kEintr:
@@ -129,7 +133,9 @@ ssize_t SendSyscall(int fd, const void* buf, size_t len) {
         errno = EAGAIN;
         return -1;
       case SocketFault::Kind::kShort:
-        len = len > 1 ? 1 : len;
+        first_byte = {iov->iov_base, 1};
+        iov = &first_byte;
+        iovcnt = 1;
         break;
       case SocketFault::Kind::kEpipe:
         return InjectErrnoDrop(fd, EPIPE);
@@ -140,15 +146,23 @@ ssize_t SendSyscall(int fd, const void* buf, size_t len) {
       case SocketFault::Kind::kDelay:
         std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
         break;
-      case SocketFault::Kind::kBlackhole:
+      case SocketFault::Kind::kBlackhole: {
         // One-way partition: the bytes vanish but the sender believes they went out.
+        size_t len = 0;
+        for (int i = 0; i < iovcnt; ++i) {
+          len += iov[i].iov_len;
+        }
         return static_cast<ssize_t>(len);
+      }
     }
   }
+  msghdr msg{};
+  msg.msg_iov = const_cast<iovec*>(iov);
+  msg.msg_iovlen = static_cast<size_t>(iovcnt);
 #ifdef MSG_NOSIGNAL
-  return ::send(fd, buf, len, MSG_NOSIGNAL);
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
 #else
-  return ::send(fd, buf, len, 0);
+  return ::sendmsg(fd, &msg, 0);
 #endif
 }
 
@@ -190,17 +204,33 @@ ssize_t RecvSyscall(int fd, void* buf, size_t len) {
 // count against max_attempts, matching the fs-side retry semantics (an operation that
 // keeps moving is not failing).
 
-Status SendAll(int fd, const void* data, size_t size) {
+// Sends the concatenation of `iov[0..iovcnt)`, advancing `iov` past what went out.
+Status SendAll(int fd, iovec* iov, int iovcnt) {
   const IoRetryPolicy policy = GetIoRetryPolicy();
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  size_t left = size;
+  size_t left = 0;
+  for (int i = 0; i < iovcnt; ++i) {
+    left += iov[i].iov_len;
+  }
   int attempt = 0;
   std::chrono::milliseconds backoff = policy.base_backoff;
   while (left > 0) {
-    const ssize_t n = SendSyscall(fd, p, left);
+    while (iov->iov_len == 0) {  // some part is non-empty while bytes are left
+      ++iov;
+      --iovcnt;
+    }
+    const ssize_t n = SendSyscall(fd, iov, iovcnt);
     if (n > 0) {
-      p += n;
       left -= static_cast<size_t>(n);
+      for (size_t done = static_cast<size_t>(n); done > 0;) {
+        const size_t step = std::min(done, iov->iov_len);
+        iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + step;
+        iov->iov_len -= step;
+        done -= step;
+        if (iov->iov_len == 0) {
+          ++iov;
+          --iovcnt;
+        }
+      }
       attempt = 0;
       backoff = policy.base_backoff;
       continue;
@@ -312,24 +342,24 @@ Status SendFrame(int fd, WireOp op, const void* prefix, size_t prefix_len,
   if (total > kMaxFramePayload) {
     return InvalidArgumentError("wire frame payload too large: " + std::to_string(total));
   }
-  // Header + payload + trailing CRC in one buffer: a frame is one send (modulo partial
-  // progress), which keeps concurrent writers on a shared connection atomic per-frame.
-  std::vector<uint8_t> buf(9 + total + 4);
-  StoreU32(buf.data(), kWireMagic);
-  buf[4] = static_cast<uint8_t>(op);
-  StoreU32(buf.data() + 5, static_cast<uint32_t>(total));
-  if (prefix_len > 0) {
-    std::memcpy(buf.data() + 9, prefix, prefix_len);
-  }
-  if (len > 0) {
-    std::memcpy(buf.data() + 9 + prefix_len, payload, len);
-  }
+  uint8_t header[9];
+  StoreU32(header, kWireMagic);
+  header[4] = static_cast<uint8_t>(op);
+  StoreU32(header + 5, static_cast<uint32_t>(total));
   // CRC covers the type byte + payload (not the length field), matching RecvFrame.
   uint32_t crc = Crc32Init();
-  crc = Crc32Update(crc, buf.data() + 4, 1);
-  crc = Crc32Update(crc, buf.data() + 9, prefix_len);
-  StoreU32(buf.data() + 9 + total, Crc32Combine(Crc32Finalize(crc), payload_crc, len));
-  return SendAll(fd, buf.data(), buf.size());
+  crc = Crc32Update(crc, header + 4, 1);
+  crc = Crc32Update(crc, prefix, prefix_len);
+  uint8_t trailer[4];
+  StoreU32(trailer, Crc32Combine(Crc32Finalize(crc), payload_crc, len));
+  // Header, prefix, body and CRC gathered from where they lie into one sendmsg: a frame is
+  // one send (modulo partial progress), which keeps concurrent writers on a shared
+  // connection atomic per-frame, and the body is never copied.
+  iovec iov[4] = {{header, sizeof(header)},
+                  {const_cast<void*>(prefix), prefix_len},
+                  {const_cast<void*>(payload), len},
+                  {trailer, sizeof(trailer)}};
+  return SendAll(fd, iov, 4);
 }
 
 Status SendFrame(int fd, WireOp op, const void* payload, size_t len) {

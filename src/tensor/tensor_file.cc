@@ -11,6 +11,9 @@
 namespace ucp {
 namespace {
 
+using tensor_file_internal::ChunkedPayload;
+using tensor_file_internal::VerifiedWindow;
+
 constexpr uint32_t kTensorMagic = 0x31544355;  // "UCT1" little-endian
 constexpr uint32_t kBundleMagic = 0x31424355;  // "UCB1" little-endian
 constexpr uint32_t kEndianTag = 0x01020304;
@@ -312,32 +315,38 @@ Result<std::vector<uint8_t>> ReadHead(ByteSource& source) {
   return head;
 }
 
+// The head of a v3 file: bytes [0, max(header_bytes, head read)), so its header prefix
+// and whatever payload bytes the head read carried past it.
+struct V3Head {
+  std::vector<uint8_t> bytes;
+  uint64_t header_bytes = 0;
+};
+
 // Completes the [0, header_bytes) prefix of a v3 file (prologue already checked) from its
 // head, reading only what a header larger than the head still needs.
-Result<std::vector<uint8_t>> CompleteV3Prefix(ByteSource& f, std::vector<uint8_t> head,
-                                              const char* kind) {
+Result<V3Head> CompleteV3Prefix(ByteSource& f, std::vector<uint8_t> head, const char* kind) {
   if (f.size() < 24) {
     return DataLossError(std::string(kind) + " file truncated: " + f.name());
   }
-  const uint64_t header_bytes = LoadU64(head.data() + 12);
-  if (header_bytes < 24 || header_bytes + 4 > f.size()) {
+  V3Head out;
+  out.header_bytes = LoadU64(head.data() + 12);
+  if (out.header_bytes < 24 || out.header_bytes + 4 > f.size()) {
     return DataLossError(std::string(kind) + " header size out of range in " + f.name());
   }
   const size_t have = head.size();
-  head.resize(static_cast<size_t>(header_bytes));
-  if (header_bytes > have) {
+  if (out.header_bytes > have) {
+    head.resize(static_cast<size_t>(out.header_bytes));
     UCP_RETURN_IF_ERROR(f.ReadAt(have, head.data() + have, head.size() - have));
     CountRead(head.size() - have);
   }
-  return head;
+  out.bytes = std::move(head);
+  return out;
 }
 
-// The header prefix of a v3 file about to be range-read, prologue checked. A version field
-// other than kFormatVersion takes the cold path — one whole-file read — so the trailing
-// CRC can tell bit rot (kDataLoss) from a file of another format version
-// (kFailedPrecondition).
-Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& source, uint32_t magic,
-                                          const char* kind) {
+// The head of a v3 file about to be range-read, prologue checked. A version field other
+// than kFormatVersion takes the cold path — one whole-file read — so the trailing CRC can
+// tell bit rot (kDataLoss) from a file of another format version (kFailedPrecondition).
+Result<V3Head> ReadV3Head(ByteSource& source, uint32_t magic, const char* kind) {
   if (source.size() < 16) {
     return DataLossError(std::string(kind) + " file truncated: " + source.name());
   }
@@ -473,13 +482,41 @@ Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
   return out;
 }
 
+// Seeds `window` with the whole payload chunks the head read carried, CRC-checking each, so
+// a small atom needs no read past its head. `payloads` are in file order and contiguous
+// from header_bytes on (both parsers check this). Seeding stops at the first chunk the head
+// does not hold whole or that fails its CRC; that chunk stays unverified, so its kDataLoss
+// surfaces, with the usual message, on the first read that touches it rather than at Open.
+void SeedWindowFromHead(const V3Head& head, ChunkedPayload* payloads, size_t count,
+                        VerifiedWindow& window) {
+  uint64_t end = head.header_bytes;
+  bool carried = true;
+  for (size_t i = 0; carried && i < count; ++i) {
+    ChunkedPayload& p = payloads[i];
+    for (size_t ci = 0; carried && ci < p.crcs.size(); ++ci) {
+      const uint64_t chunk_end = std::min<uint64_t>(end + p.chunk_bytes, p.offset + p.bytes);
+      carried = chunk_end <= head.bytes.size() &&
+                Crc32(head.bytes.data() + end, static_cast<size_t>(chunk_end - end)) ==
+                    p.crcs[ci];
+      if (carried) {
+        p.verified[ci] = true;
+        ChunksVerifiedCounter().Add(1);
+        end = chunk_end;
+      }
+    }
+  }
+  window.begin = head.header_bytes;
+  window.end = end;
+  window.bytes.assign(head.bytes.begin() + static_cast<ptrdiff_t>(head.header_bytes),
+                      head.bytes.begin() + static_cast<ptrdiff_t>(end));
+}
+
 // The chunk-verifying positional read shared by TensorFileView and BundleFileView: decodes
-// elements [elem_begin, elem_begin + elem_count) of a payload living at `payload_offset` in
-// `f`. Unverified chunks are read whole (and their CRC checked once); already-verified
-// chunks are read only where the range overlaps them.
-Status ReadChunkedRange(ByteSource& f, uint64_t payload_offset,
-                        uint64_t payload_bytes, uint32_t chunk_bytes,
-                        const std::vector<uint32_t>& crcs, std::vector<bool>& verified,
+// elements [elem_begin, elem_begin + elem_count) of payload `p` of `f`. Per chunk the range
+// touches: inside the verified window, it is decoded from memory; unverified, it is read
+// whole, its CRC checked once, and it becomes the window; verified but outside the window,
+// only the overlap is read.
+Status ReadChunkedRange(ByteSource& f, ChunkedPayload& p, VerifiedWindow& window,
                         std::vector<uint8_t>& scratch, DType dtype, int64_t elem_begin,
                         int64_t elem_count, float* out, const std::string& what) {
   if (elem_count == 0) {
@@ -488,35 +525,43 @@ Status ReadChunkedRange(ByteSource& f, uint64_t payload_offset,
   const uint64_t esize = DTypeSize(dtype);
   const uint64_t byte_begin = static_cast<uint64_t>(elem_begin) * esize;
   const uint64_t byte_end = byte_begin + static_cast<uint64_t>(elem_count) * esize;
-  const size_t first_chunk = static_cast<size_t>(byte_begin / chunk_bytes);
-  const size_t last_chunk = static_cast<size_t>((byte_end - 1) / chunk_bytes);
-  if (scratch.size() < chunk_bytes) {
-    scratch.resize(chunk_bytes);
-  }
+  const size_t first_chunk = static_cast<size_t>(byte_begin / p.chunk_bytes);
+  const size_t last_chunk = static_cast<size_t>((byte_end - 1) / p.chunk_bytes);
   float* dst = out;
   for (size_t ci = first_chunk; ci <= last_chunk; ++ci) {
-    const uint64_t chunk_start = ci * static_cast<uint64_t>(chunk_bytes);
-    const uint64_t chunk_size = std::min<uint64_t>(chunk_bytes, payload_bytes - chunk_start);
-    const uint64_t overlap_begin = std::max(byte_begin, chunk_start);
-    const uint64_t overlap_end = std::min(byte_end, chunk_start + chunk_size);
+    // Absolute file offsets from here on.
+    const uint64_t chunk_start = p.offset + ci * static_cast<uint64_t>(p.chunk_bytes);
+    const uint64_t chunk_end =
+        std::min<uint64_t>(chunk_start + p.chunk_bytes, p.offset + p.bytes);
+    const uint64_t overlap_begin = std::max(p.offset + byte_begin, chunk_start);
+    const uint64_t overlap_end = std::min(p.offset + byte_end, chunk_end);
     const size_t overlap_bytes = static_cast<size_t>(overlap_end - overlap_begin);
-    if (!verified[ci]) {
-      UCP_RETURN_IF_ERROR(f.ReadAt(payload_offset + chunk_start, scratch.data(),
-                                   static_cast<size_t>(chunk_size)));
+    const uint8_t* src = nullptr;
+    if (window.begin <= overlap_begin && overlap_end <= window.end) {
+      src = window.bytes.data() + (overlap_begin - window.begin);
+    } else if (!p.verified[ci]) {
+      const size_t chunk_size = static_cast<size_t>(chunk_end - chunk_start);
+      window.begin = window.end = 0;  // its buffer is about to hold unverified bytes
+      window.bytes.resize(chunk_size);
+      UCP_RETURN_IF_ERROR(f.ReadAt(chunk_start, window.bytes.data(), chunk_size));
       CountRead(chunk_size);
-      if (Crc32(scratch.data(), static_cast<size_t>(chunk_size)) != crcs[ci]) {
-        return DataLossError(ChunkCrcErr(what, ci, crcs.size()));
+      if (Crc32(window.bytes.data(), chunk_size) != p.crcs[ci]) {
+        return DataLossError(ChunkCrcErr(what, ci, p.crcs.size()));
       }
-      verified[ci] = true;
+      p.verified[ci] = true;
       ChunksVerifiedCounter().Add(1);
-      DecodeElements(scratch.data() + (overlap_begin - chunk_start), dtype,
-                     static_cast<int64_t>(overlap_bytes / esize), dst);
+      window.begin = chunk_start;
+      window.end = chunk_end;
+      src = window.bytes.data() + (overlap_begin - chunk_start);
     } else {
-      UCP_RETURN_IF_ERROR(f.ReadAt(payload_offset + overlap_begin, scratch.data(),
-                                   overlap_bytes));
+      if (scratch.size() < overlap_bytes) {
+        scratch.resize(overlap_bytes);
+      }
+      UCP_RETURN_IF_ERROR(f.ReadAt(overlap_begin, scratch.data(), overlap_bytes));
       CountRead(overlap_bytes);
-      DecodeElements(scratch.data(), dtype, static_cast<int64_t>(overlap_bytes / esize), dst);
+      src = scratch.data();
     }
+    DecodeElements(src, dtype, static_cast<int64_t>(overlap_bytes / esize), dst);
     dst += overlap_bytes / esize;
   }
   return OkStatus();
@@ -637,19 +682,21 @@ Result<TensorFileView> TensorFileView::Open(const std::string& path) {
 
 Result<TensorFileView> TensorFileView::Open(std::unique_ptr<ByteSource> source) {
   const std::string path = source->name();
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
-                       ReadV3Prefix(*source, kTensorMagic, "tensor"));
+  UCP_ASSIGN_OR_RETURN(V3Head head, ReadV3Head(*source, kTensorMagic, "tensor"));
   UCP_ASSIGN_OR_RETURN(V3TensorHeader h,
-                       ParseV3TensorPrefix(prefix.data(), prefix.size(), path));
-  if (prefix.size() + h.info.payload_bytes + 4 != source->size()) {
+                       ParseV3TensorPrefix(head.bytes.data(), head.header_bytes, path));
+  if (head.header_bytes + h.info.payload_bytes + 4 != source->size()) {
     return DataLossError("tensor file truncated: " + path);
   }
   TensorFileView view;
   view.path_ = path;
+  view.payload_.offset = h.payload_offset;
+  view.payload_.bytes = h.info.payload_bytes;
+  view.payload_.chunk_bytes = h.info.chunk_bytes;
+  view.payload_.verified.assign(h.chunk_crcs.size(), false);
+  view.payload_.crcs = std::move(h.chunk_crcs);
   view.info_ = std::move(h.info);
-  view.chunk_crcs_ = std::move(h.chunk_crcs);
-  view.chunk_verified_.assign(view.chunk_crcs_.size(), false);
-  view.payload_offset_ = h.payload_offset;
+  SeedWindowFromHead(head, &view.payload_, 1, view.window_);
   view.source_ = std::move(source);
   return view;
 }
@@ -660,8 +707,7 @@ Status TensorFileView::ReadElements(int64_t elem_begin, int64_t elem_count, floa
                                 std::to_string(elem_begin + elem_count) +
                                 ") out of bounds for " + path_);
   }
-  return ReadChunkedRange(*source_, payload_offset_, info_.payload_bytes, info_.chunk_bytes,
-                          chunk_crcs_, chunk_verified_, scratch_, info_.dtype, elem_begin,
+  return ReadChunkedRange(*source_, payload_, window_, scratch_, info_.dtype, elem_begin,
                           elem_count, out, path_);
 }
 
@@ -839,10 +885,9 @@ Result<BundleFileView> BundleFileView::Open(const std::string& path) {
 
 Result<BundleFileView> BundleFileView::Open(std::unique_ptr<ByteSource> source) {
   const std::string path = source->name();
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
-                       ReadV3Prefix(*source, kBundleMagic, "bundle"));
+  UCP_ASSIGN_OR_RETURN(V3Head head, ReadV3Head(*source, kBundleMagic, "bundle"));
   UCP_ASSIGN_OR_RETURN(V3BundleHeader h,
-                       ParseV3BundlePrefix(prefix.data(), prefix.size(), path));
+                       ParseV3BundlePrefix(head.bytes.data(), head.header_bytes, path));
   if (h.payload_end + 4 != source->size()) {
     return DataLossError("bundle file truncated: " + path);
   }
@@ -850,14 +895,17 @@ Result<BundleFileView> BundleFileView::Open(std::unique_ptr<ByteSource> source) 
   view.path_ = path;
   view.meta_ = std::move(h.meta);
   view.entries_ = std::move(h.entries);
-  for (V3BundleHeader::Member& m : h.members) {
-    Member member;
-    member.payload_offset = m.payload_offset;
+  for (size_t i = 0; i < h.members.size(); ++i) {
+    V3BundleHeader::Member& m = h.members[i];
+    ChunkedPayload member;
+    member.offset = m.payload_offset;
+    member.bytes = view.entries_[i].second.payload_bytes;
     member.chunk_bytes = m.chunk_bytes;
-    member.chunk_verified.assign(m.chunk_crcs.size(), false);
-    member.chunk_crcs = std::move(m.chunk_crcs);
+    member.verified.assign(m.chunk_crcs.size(), false);
+    member.crcs = std::move(m.chunk_crcs);
     view.members_.push_back(std::move(member));
   }
+  SeedWindowFromHead(head, view.members_.data(), view.members_.size(), view.window_);
   view.source_ = std::move(source);
   return view;
 }
@@ -894,10 +942,9 @@ Status BundleFileView::ReadTensorElements(size_t entry_index, int64_t elem_begin
     return InvalidArgumentError("ReadTensorElements range out of bounds for " + path_ + ":" +
                                 entries_[entry_index].first);
   }
-  Member& m = members_[entry_index];
-  return ReadChunkedRange(*source_, m.payload_offset, info.payload_bytes, m.chunk_bytes,
-                          m.chunk_crcs, m.chunk_verified, scratch_, info.dtype, elem_begin,
-                          elem_count, out, path_ + ":" + entries_[entry_index].first);
+  return ReadChunkedRange(*source_, members_[entry_index], window_, scratch_, info.dtype,
+                          elem_begin, elem_count, out,
+                          path_ + ":" + entries_[entry_index].first);
 }
 
 // ---------------------------------------------------------------------------
@@ -919,24 +966,25 @@ Result<std::optional<FileChunkIndex>> ReadFileChunkIndex(ByteSource& source) {
     // No chunk table to verify against; the reader's own whole-file check classifies it.
     return std::optional<FileChunkIndex>(std::nullopt);
   }
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
-                       CompleteV3Prefix(source, std::move(head), kind));
+  UCP_ASSIGN_OR_RETURN(V3Head v3, CompleteV3Prefix(source, std::move(head), kind));
+  const uint8_t* prefix = v3.bytes.data();
+  const uint64_t header_bytes = v3.header_bytes;
   FileChunkIndex index;
   if (is_tensor) {
     UCP_ASSIGN_OR_RETURN(V3TensorHeader h,
-                         ParseV3TensorPrefix(prefix.data(), prefix.size(), source.name()));
-    if (prefix.size() + h.info.payload_bytes + 4 != source.size()) {
+                         ParseV3TensorPrefix(prefix, header_bytes, source.name()));
+    if (header_bytes + h.info.payload_bytes + 4 != source.size()) {
       return DataLossError("tensor file truncated: " + source.name());
     }
     ChunkRegion region;
-    region.begin = prefix.size();
-    region.end = prefix.size() + h.info.payload_bytes;
+    region.begin = header_bytes;
+    region.end = header_bytes + h.info.payload_bytes;
     region.chunk_bytes = h.info.chunk_bytes;
     region.chunk_crcs = std::move(h.chunk_crcs);
     index.regions.push_back(std::move(region));
   } else {
     UCP_ASSIGN_OR_RETURN(V3BundleHeader h,
-                         ParseV3BundlePrefix(prefix.data(), prefix.size(), source.name()));
+                         ParseV3BundlePrefix(prefix, header_bytes, source.name()));
     if (h.payload_end + 4 != source.size()) {
       return DataLossError("bundle file truncated: " + source.name());
     }

@@ -83,9 +83,34 @@ struct TensorIoStats {
 TensorIoStats GetTensorIoStats();
 void ResetTensorIoStats();
 
+namespace tensor_file_internal {
+
+// One payload of a viewed file: its chunk table and which chunks have passed their CRC on
+// this view.
+struct ChunkedPayload {
+  uint64_t offset = 0;  // absolute file offset of the raw payload
+  uint64_t bytes = 0;
+  uint32_t chunk_bytes = 0;
+  std::vector<uint32_t> crcs;
+  std::vector<bool> verified;
+};
+
+// File bytes [begin, end) a view holds in memory, made only of payload chunks that passed
+// their CRC: the whole chunks its head read carried, then the chunk it last read whole.
+// Ranges inside it are decoded from memory with no read. Offsets are absolute, so in a
+// bundle the window also names the member it belongs to.
+struct VerifiedWindow {
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  std::vector<uint8_t> bytes;  // bytes[i] is file byte begin + i
+};
+
+}  // namespace tensor_file_internal
+
 // A read-only view of one tensor file: parses and verifies the header once, then serves
 // element/row ranges via pread, verifying only the CRC chunks each range touches (each
-// chunk at most once per view). Not thread-safe; give each worker its own view (the
+// chunk at most once per view). The chunk it last read whole stays in memory, so a strided
+// gather reads each chunk once. Not thread-safe; give each worker its own view (the
 // kernel-side pread is position-independent anyway).
 class TensorFileView {
  public:
@@ -117,10 +142,9 @@ class TensorFileView {
   std::string path_;
   TensorFileInfo info_;
   std::unique_ptr<ByteSource> source_;
-  uint64_t payload_offset_ = 0;      // absolute file offset of the raw payload
-  std::vector<uint32_t> chunk_crcs_;
-  std::vector<bool> chunk_verified_;
-  std::vector<uint8_t> scratch_;     // chunk read buffer, reused across calls
+  tensor_file_internal::ChunkedPayload payload_;
+  tensor_file_internal::VerifiedWindow window_;
+  std::vector<uint8_t> scratch_;  // overlap reads of verified chunks outside the window
 };
 
 // An ordered state dict. Order is preserved because ZeRO's flattened groups depend on a
@@ -188,20 +212,15 @@ class BundleFileView {
                             float* out);
 
  private:
-  struct Member {
-    uint64_t payload_offset = 0;  // absolute file offset
-    uint32_t chunk_bytes = 0;
-    std::vector<uint32_t> chunk_crcs;
-    std::vector<bool> chunk_verified;
-  };
-
   BundleFileView() = default;
 
   std::string path_;
   Json meta_;
   std::vector<std::pair<std::string, TensorFileInfo>> entries_;
-  std::vector<Member> members_;
+  std::vector<tensor_file_internal::ChunkedPayload> members_;
   std::unique_ptr<ByteSource> source_;
+  // Shared by every member; see VerifiedWindow.
+  tensor_file_internal::VerifiedWindow window_;
   std::vector<uint8_t> scratch_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <optional>
 
 #include "src/common/fs.h"
 #include "src/common/thread_pool.h"
@@ -104,67 +103,98 @@ struct UcpLocalState {
   Tensor exp_avg;
   Tensor exp_avg_sq;
   int64_t steps = 0;
+  // The slice-cache entries this rank's gathers used. Held until every rank has finished
+  // its reads (the agreement in LoadUcpCheckpoint), so each identical gather is read once
+  // however the co-located ranks' loads interleave.
+  std::vector<std::shared_ptr<const Tensor>> cache_pins;
 };
 
 constexpr const char* kStateFiles[3] = {"fp32", "exp_avg", "exp_avg_sq"};
 
-// Reads the parts of one atom state file that land inside this rank's partition, directly
-// into the partition buffer. `want_lo`/`want_hi` bound the wanted range in shard-flat
-// coordinates; `runs` maps shard-flat to file-flat ranges. Each run clips to the wanted
-// window and becomes one contiguous range read (dim-0 shards: a single run; dim>0 shards: a
-// strided gather). The TensorFileView opens lazily — with a warm slice cache a fully
-// deduplicated task never touches the file.
+// One contiguous range of an atom file that a gather reads.
+struct FileRange {
+  int64_t begin = 0;  // element offset in the file
+  int64_t count = 0;
+};
+
+// The exact file elements of a gather, for a slice-cache key: each maximal progression of
+// equal-length ranges at one stride as "begin+count*n@stride", a lone range as
+// "begin+count" (so a one-range gather keeps the historical per-range key).
+std::string GatherKey(const std::vector<FileRange>& ranges) {
+  std::string key;
+  for (size_t i = 0; i < ranges.size();) {
+    size_t j = i + 1;
+    const int64_t stride = j < ranges.size() ? ranges[j].begin - ranges[i].begin : 0;
+    while (j < ranges.size() && ranges[j].count == ranges[i].count &&
+           ranges[j].begin - ranges[j - 1].begin == stride) {
+      ++j;
+    }
+    if (i > 0) {
+      key += ',';
+    }
+    key += std::to_string(ranges[i].begin);
+    key += '+';
+    key += std::to_string(ranges[i].count);
+    if (j - i > 1) {
+      key += '*';
+      key += std::to_string(j - i);
+      key += '@';
+      key += std::to_string(stride);
+    }
+    i = j;
+  }
+  return key;
+}
+
+// Reads the part of one atom state file that lands inside this rank's partition. The
+// shard-flat window [want_lo, want_hi) is contiguous in the partition; `runs` map it to file
+// ranges (dim-0 shards: one range; dim>0 shards: a strided gather of one range per row),
+// which the view serves with each chunk read and verified once. With the cache on, the
+// whole gather is one entry: ranks whose gathers are identical (replicated atoms on TP
+// peers, every atom on ZeRO-0 DP peers) read it once and the rest copy. The
+// TensorFileView opens lazily — with a warm cache a task never touches the file.
 Status ReadAssignedSlices(Store& store, const std::string& rel, const AtomAssignment& a,
                           const std::vector<ShardRun>& runs, int64_t want_lo,
-                          int64_t want_hi, int64_t partition_offset, float* partition_data,
-                          bool use_cache,
-                          std::vector<std::shared_ptr<const Tensor>>& keepalive) {
-  std::optional<TensorFileView> view;
-  auto ensure_view = [&]() -> Status {
-    if (view.has_value()) {
-      return OkStatus();
-    }
-    UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, store.OpenRead(rel));
-    UCP_ASSIGN_OR_RETURN(TensorFileView opened, TensorFileView::Open(std::move(source)));
-    if (opened.info().shape != a.full_shape) {
-      return DataLossError("atom file " + rel + " has shape " +
-                           ShapeToString(opened.info().shape) + ", plan expects " +
-                           ShapeToString(a.full_shape));
-    }
-    view.emplace(std::move(opened));
-    return OkStatus();
-  };
-
+                          int64_t want_hi, float* out, bool use_cache,
+                          std::shared_ptr<const Tensor>& pin) {
+  std::vector<FileRange> ranges;
   for (const ShardRun& run : runs) {
     const int64_t lo = std::max(run.shard_offset, want_lo);
     const int64_t hi = std::min(run.shard_offset + run.numel, want_hi);
-    if (lo >= hi) {
-      continue;
-    }
-    const int64_t file_begin = run.full_offset + (lo - run.shard_offset);
-    const int64_t count = hi - lo;
-    float* out = partition_data + (a.flat_offset + lo - partition_offset);
-    if (use_cache) {
-      // Ranks that differ only in TP (and, under ZeRO-0, DP) build identical keys for
-      // replicated atoms, so the first one reads and the rest copy. CacheKey keeps
-      // LocalStore keys identical to the historical absolute-path keys.
-      std::string key = store.CacheKey(rel) + "#" + std::to_string(file_begin) + "+" +
-                        std::to_string(count);
-      UCP_ASSIGN_OR_RETURN(
-          std::shared_ptr<const Tensor> slice,
-          AtomSliceCache::Global().GetOrLoad(key, [&]() -> Result<Tensor> {
-            UCP_RETURN_IF_ERROR(ensure_view());
-            Tensor t = Tensor::Zeros({count});
-            UCP_RETURN_IF_ERROR(view->ReadElements(file_begin, count, t.data()));
-            return t;
-          }));
-      std::memcpy(out, slice->data(), static_cast<size_t>(count) * sizeof(float));
-      keepalive.push_back(std::move(slice));
-    } else {
-      UCP_RETURN_IF_ERROR(ensure_view());
-      UCP_RETURN_IF_ERROR(view->ReadElements(file_begin, count, out));
+    if (lo < hi) {
+      ranges.push_back({run.full_offset + (lo - run.shard_offset), hi - lo});
     }
   }
+  // Runs are in ascending shard order and tile the shard, so the ranges fill `out` in order.
+  auto gather = [&](float* dst) -> Status {
+    UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, store.OpenRead(rel));
+    UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(std::move(source)));
+    if (view.info().shape != a.full_shape) {
+      return DataLossError("atom file " + rel + " has shape " +
+                           ShapeToString(view.info().shape) + ", plan expects " +
+                           ShapeToString(a.full_shape));
+    }
+    for (const FileRange& r : ranges) {
+      UCP_RETURN_IF_ERROR(view.ReadElements(r.begin, r.count, dst));
+      dst += r.count;
+    }
+    return OkStatus();
+  };
+  if (!use_cache) {
+    return gather(out);
+  }
+  const int64_t count = want_hi - want_lo;
+  // CacheKey keeps LocalStore keys identical to the historical absolute-path keys.
+  UCP_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Tensor> slice,
+      AtomSliceCache::Global().GetOrLoad(
+          store.CacheKey(rel) + "#" + GatherKey(ranges), [&]() -> Result<Tensor> {
+            Tensor t = Tensor::Zeros({count});
+            UCP_RETURN_IF_ERROR(gather(t.data()));
+            return t;
+          }));
+  std::memcpy(out, slice->data(), static_cast<size_t>(count) * sizeof(float));
+  pin = std::move(slice);
   return OkStatus();
 }
 
@@ -281,9 +311,7 @@ Result<UcpLocalState> LoadUcpLocal(Store& store, const std::string& ucp_rel,
   }
 
   std::vector<Status> results(tasks.size());
-  // Keepalives pin cached slices until every co-located rank has had a chance to hit them;
-  // per-task vectors so worker threads never share one.
-  std::vector<std::vector<std::shared_ptr<const Tensor>>> keepalive(tasks.size());
+  state.cache_pins.resize(tasks.size());  // one slot per task, so workers never share one
   ThreadPool pool(static_cast<size_t>(std::max(options.num_threads, 0)));
   pool.ParallelFor(tasks.size(), [&](size_t i) {
     const SliceTask& t = tasks[i];
@@ -293,9 +321,9 @@ Result<UcpLocalState> LoadUcpLocal(Store& store, const std::string& ucp_rel,
                                               .S("state", kStateFiles[t.state_index])
                                               .I("numel", t.want_hi - t.want_lo));
     std::string rel = JoinRel(AtomRel(ucp_rel, a.name), kStateFiles[t.state_index]);
-    results[i] = ReadAssignedSlices(store, rel, a, *t.runs, t.want_lo, t.want_hi, p0,
-                                    buffers[t.state_index], options.use_slice_cache,
-                                    keepalive[i]);
+    float* out = buffers[t.state_index] + (a.flat_offset + t.want_lo - p0);
+    results[i] = ReadAssignedSlices(store, rel, a, *t.runs, t.want_lo, t.want_hi, out,
+                                    options.use_slice_cache, state.cache_pins[i]);
   });
   for (const Status& s : results) {
     UCP_RETURN_IF_ERROR(s);
@@ -335,6 +363,7 @@ Status LoadUcpCheckpoint(Store& store, const std::string& ucp_rel, RankTrainer& 
   if (peer_failed > 0.0) {
     return DataLossError("aborting UCP load: a peer rank failed to read the checkpoint");
   }
+  local->cache_pins.clear();
   UCP_RETURN_IF_ERROR(trainer.optimizer().LoadState(local->master, local->exp_avg,
                                                     local->exp_avg_sq, local->steps));
   loads.Add(1);

@@ -50,7 +50,7 @@ struct UcpLoadOptions {
   // buffers. false falls back to the v1-era reference path: whole-file atom reads, full
   // padded flat assembly, partition sliced at the end. Both are bit-exact (tested).
   bool sliced = true;
-  // Dedup identical (file, range) reads across concurrently-loading co-located ranks.
+  // Dedup identical (file, gather) reads across concurrently-loading co-located ranks.
   // Only consulted on the sliced path.
   bool use_slice_cache = true;
 };

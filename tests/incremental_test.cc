@@ -577,6 +577,7 @@ TEST_F(IncrementalFaultTest, ChunkCompressionRoundTripAndBailout) {
   ChunkedWriteStats stats;
   ASSERT_TRUE(index
                   ->Put(comp_digest, compressible.data(), compressible.size(),
+                        Crc32(compressible.data(), compressible.size()),
                         /*try_compress=*/true, &stats)
                   .ok());
   EXPECT_EQ(stats.chunks_compressed, 1u);
@@ -601,6 +602,7 @@ TEST_F(IncrementalFaultTest, ChunkCompressionRoundTripAndBailout) {
   const uint64_t raw_digest = ChunkDigest(incompressible.data(), incompressible.size());
   ASSERT_TRUE(index
                   ->Put(raw_digest, incompressible.data(), incompressible.size(),
+                        Crc32(incompressible.data(), incompressible.size()),
                         /*try_compress=*/true, &stats)
                   .ok());
   Result<ChunkIndex::ChunkStat> raw_stat = index->StatChunk(raw_digest);
@@ -677,12 +679,15 @@ TEST_F(IncrementalFaultTest, DigestCollisionRefusedNotAliased) {
   std::vector<uint8_t> a(64 * 1024, 0x11);
   std::vector<uint8_t> b(64 * 1024, 0x22);
   const uint64_t digest_a = ChunkDigest(a.data(), a.size());
-  ASSERT_TRUE(index->Put(digest_a, a.data(), a.size(), false, nullptr).ok());
+  ASSERT_TRUE(
+      index->Put(digest_a, a.data(), a.size(), Crc32(a.data(), a.size()), false, nullptr).ok());
 
   // Same content under the same digest: a verified dedup hit.
-  ASSERT_TRUE(index->Put(digest_a, a.data(), a.size(), false, nullptr).ok());
+  ASSERT_TRUE(
+      index->Put(digest_a, a.data(), a.size(), Crc32(a.data(), a.size()), false, nullptr).ok());
   // Different content under the same digest (a simulated collision): refused.
-  Status collided = index->Put(digest_a, b.data(), b.size(), false, nullptr);
+  Status collided =
+      index->Put(digest_a, b.data(), b.size(), Crc32(b.data(), b.size()), false, nullptr);
   EXPECT_EQ(collided.code(), StatusCode::kFailedPrecondition) << collided.ToString();
 
   // The presence query is content-verified too: the colliding probe reports "absent",
@@ -705,7 +710,8 @@ TEST_F(IncrementalFaultTest, SweepQuarantinesYoungUnreferencedChunks) {
   std::shared_ptr<ChunkIndex> index = ChunkIndex::ForRoot(dir_);
   std::vector<uint8_t> orphan(1024, 0x5A);
   const uint64_t digest = ChunkDigest(orphan.data(), orphan.size());
-  ASSERT_TRUE(index->Put(digest, orphan.data(), orphan.size(), false, nullptr).ok());
+  ASSERT_TRUE(index->Put(digest, orphan.data(), orphan.size(),
+                         Crc32(orphan.data(), orphan.size()), false, nullptr).ok());
   const std::string path = PathJoin(dir_, ChunkObjectRel(digest));
   ASSERT_TRUE(FileExists(path));
 

@@ -40,6 +40,7 @@
 #include "src/model/config.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/parallel/partition_spec.h"
 #include "src/runtime/trainer.h"
 #include "src/store/remote_store.h"
 #include "src/store/server.h"
@@ -1158,6 +1159,72 @@ TEST_F(StoreServerTest, HttpServesHealthzJsonAndPrometheusExposition) {
 // ---------------------------------------------------------------------------
 // Property 7: the sliced loader is bit-exact over the wire.
 // ---------------------------------------------------------------------------
+
+// A strided TP2 gather — a row-parallel weight split along dim 1, one 1 KiB run per row —
+// over the daemon reads each chunk once: at most one READ_RANGE per chunk plus the head
+// read, not one per row.
+TEST_F(StoreServerTest, StridedGatherOverRemoteReadsEachChunkOnce) {
+  Tensor t = Tensor::Zeros({64, 512});  // 128 KiB payload in four 32 KiB chunks
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    t.data()[i] = static_cast<float>(i % 1009) - 500.0f;
+  }
+  ASSERT_TRUE(SaveTensor(PathJoin(dir_, "strided"), t).ok());
+  const PartitionSpec spec = PartitionSpec::Fragment(1);
+  const std::vector<ShardRun> runs = ShardRuns(spec, t.shape(), 2, 1);
+  ASSERT_EQ(runs.size(), 64u);
+
+  std::shared_ptr<RemoteStore> remote = Connect();
+  obs::Histogram& read_ranges =
+      obs::MetricsRegistry::Global().GetHistogram("store.client.rpc.read_range.seconds");
+  const uint64_t before = read_ranges.Count();
+  Result<std::unique_ptr<ByteSource>> source = remote->OpenRead("strided");
+  ASSERT_TRUE(source.ok()) << source.status();
+  Result<TensorFileView> view = TensorFileView::Open(std::move(*source));
+  ASSERT_TRUE(view.ok()) << view.status();
+  Tensor shard = Tensor::Zeros(ShardShape(spec, t.shape(), 2));
+  for (const ShardRun& run : runs) {
+    ASSERT_TRUE(
+        view->ReadElements(run.full_offset, run.numel, shard.data() + run.shard_offset).ok());
+  }
+  EXPECT_EQ(view->info().num_chunks, 4u);
+  EXPECT_LE(read_ranges.Count() - before, view->info().num_chunks + 1);
+  EXPECT_TRUE(Tensor::BitEqual(shard, ShardOf(spec, t, 2, 1)));
+}
+
+// The daemon answers a READ_RANGE inside the chunk it last verified from memory and one that
+// is exactly that chunk under the chunk's CRC; every shape of range returns the file's bytes.
+TEST_F(StoreServerTest, ReadRangeServedFromVerifiedChunkMatchesFile) {
+  Tensor t = Tensor::Zeros({64, 512});
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    t.data()[i] = static_cast<float>(i % 911);
+  }
+  const std::string path = PathJoin(dir_, "ranges");
+  ASSERT_TRUE(SaveTensor(path, t).ok());
+  const std::string file = *ReadFileToString(path);
+  uint64_t header_bytes = 0;
+  std::memcpy(&header_bytes, file.data() + 12, sizeof(header_bytes));
+  const uint64_t chunk = 32 * 1024;
+
+  std::shared_ptr<RemoteStore> remote = Connect();
+  Result<std::unique_ptr<ByteSource>> source = remote->OpenRead("ranges");
+  ASSERT_TRUE(source.ok()) << source.status();
+  const std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+      {header_bytes + 100, 700},            // verifies chunk 0, part of it
+      {header_bytes + 900, 1000},           // inside chunk 0, from memory
+      {header_bytes, chunk},                // exactly chunk 0, under its CRC
+      {header_bytes + chunk - 10, 20},      // spans chunks 0 and 1
+      {0, 4096},                            // header plus payload
+      {header_bytes + chunk, chunk},        // exactly chunk 1 again, from memory
+      {header_bytes + 5, 3 * chunk},        // three chunks, verified and not
+      {file.size() - 8, 8},                 // last chunk tail plus the file CRC
+  };
+  for (const auto& [offset, len] : ranges) {
+    SCOPED_TRACE("offset " + std::to_string(offset) + " len " + std::to_string(len));
+    std::string got(len, '\0');
+    ASSERT_TRUE((*source)->ReadAt(offset, got.data(), got.size()).ok());
+    EXPECT_EQ(got, file.substr(offset, len));
+  }
+}
 
 TEST_F(StoreServerTest, SlicedLoadOverRemoteBitExactWithLocalAcrossSweep) {
   ModelConfig model = TinyGpt();

@@ -8,10 +8,14 @@
 //  3. One format: a file whose version field is not 3 — with a valid whole-file CRC, so
 //     it is not damage — fails closed with kFailedPrecondition through every reader.
 //  4. The sliced arm reads strictly fewer bytes than the reference arm.
-//  5. The slice cache dedups concurrent identical reads and drops failed loads.
+//  5. The slice cache holds one entry per gather, shared by every rank whose gather is
+//     identical; it dedups concurrent identical reads and drops failed loads.
+//  6. A view reads each chunk once: the chunk it last read whole, and the small payloads
+//     its head read carried, are served from memory.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/ckpt/checkpoint.h"
@@ -166,7 +170,8 @@ TEST_F(LoadEnv, ChunkCrcLocalizesBitRot) {
 }
 
 // Chunk verification is memoized per view: re-reading a verified range does not re-verify
-// (or re-read) its chunks; an unverified chunk is fetched whole exactly once.
+// its chunks; an unverified chunk is fetched whole exactly once, and the chunk a view last
+// read whole stays in memory, so a re-read inside it fetches nothing.
 TEST_F(LoadEnv, ChunkVerificationIsMemoizedPerView) {
   Tensor t = Tensor::Zeros({256, 320});
   const std::string path = Sub("memo");
@@ -179,8 +184,118 @@ TEST_F(LoadEnv, ChunkVerificationIsMemoizedPerView) {
   ASSERT_TRUE(view->ReadRange(0, 50).ok());
   TensorIoStats second = GetTensorIoStats();
   EXPECT_EQ(second.chunks_verified, first.chunks_verified);
-  // The re-read still fetches payload bytes, but only the 64000 requested — not the chunk.
-  EXPECT_EQ(second.bytes_read - first.bytes_read, 50u * 320 * 4);
+  // Rows [0, 50) lie in chunk 0, the chunk the view last read whole: no read at all.
+  EXPECT_EQ(second.bytes_read - first.bytes_read, 0u);
+  EXPECT_EQ(second.read_calls - first.read_calls, 0u);
+}
+
+// A verified chunk that is no longer the view's window is re-read only where a range
+// overlaps it, not fetched whole and not verified again.
+TEST_F(LoadEnv, VerifiedChunkOutsideWindowReadsOnlyOverlap) {
+  Tensor t = Tensor::Zeros({256, 320});  // 1280-byte rows, 64 KiB chunks
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    t.data()[i] = static_cast<float>(i % 613);
+  }
+  const std::string path = Sub("overlap");
+  ASSERT_TRUE(SaveTensor(path, t).ok());
+
+  Result<TensorFileView> view = TensorFileView::Open(path);
+  ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(view->ReadRange(0, 50).ok());   // verifies chunk 0
+  ASSERT_TRUE(view->ReadRange(60, 40).ok());  // bytes [76800, 128000): chunk 1 is the window
+  TensorIoStats before = GetTensorIoStats();
+  Result<Tensor> again = view->ReadRange(0, 50);
+  ASSERT_TRUE(again.ok());
+  TensorIoStats after = GetTensorIoStats();
+  EXPECT_TRUE(Tensor::BitEqual(*again, t.Narrow(0, 0, 50)));
+  EXPECT_EQ(after.chunks_verified, before.chunks_verified);
+  EXPECT_EQ(after.bytes_read - before.bytes_read, 50u * 320 * 4);
+  EXPECT_EQ(after.read_calls - before.read_calls, 1u);
+}
+
+// Counts the positional reads made through it.
+class CountingSource final : public ByteSource {
+ public:
+  CountingSource(std::unique_ptr<ByteSource> inner, int* reads)
+      : inner_(std::move(inner)), reads_(reads) {}
+  uint64_t size() const override { return inner_->size(); }
+  const std::string& name() const override { return inner_->name(); }
+  Status ReadAt(uint64_t offset, void* out, size_t size) override {
+    ++*reads_;
+    return inner_->ReadAt(offset, out, size);
+  }
+
+ private:
+  std::unique_ptr<ByteSource> inner_;
+  int* reads_;
+};
+
+Result<TensorFileView> OpenCounting(const std::string& path, int* reads) {
+  UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> file, FileByteSource::Open(path));
+  return TensorFileView::Open(std::make_unique<CountingSource>(std::move(file), reads));
+}
+
+// A small atom (a bias, a norm) lies wholly inside the 4 KiB head read that Open makes:
+// Open verifies its chunk from those bytes, so loading it takes exactly that one read.
+TEST_F(LoadEnv, PayloadInHeadReadTakesOneRead) {
+  Tensor bias = Tensor::Zeros({96});
+  for (int64_t i = 0; i < bias.numel(); ++i) {
+    bias.data()[i] = 0.25f * static_cast<float>(i);
+  }
+  const std::string path = Sub("bias");
+  ASSERT_TRUE(SaveTensor(path, bias).ok());
+
+  int reads = 0;
+  Result<TensorFileView> view = OpenCounting(path, &reads);
+  ASSERT_TRUE(view.ok()) << view.status();
+  Result<Tensor> all = view->ReadAll();
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_TRUE(Tensor::BitEqual(*all, bias));
+  Result<Tensor> part = view->ReadRange(10, 20);
+  ASSERT_TRUE(part.ok()) << part.status();
+  EXPECT_TRUE(Tensor::BitEqual(*part, bias.Narrow(0, 10, 20)));
+  EXPECT_EQ(reads, 1);  // the head read, made by Open
+}
+
+// Bit rot in a chunk that the head read carried does not fail Open: the chunk stays
+// unverified and the first read that touches it fails with the usual chunk-CRC error.
+TEST_F(LoadEnv, BitRotInHeadCarriedChunkFailsTheRead) {
+  const std::string path = Sub("rotted_bias");
+  ASSERT_TRUE(SaveTensor(path, Tensor::Zeros({96})).ok());
+  std::string raw = *ReadFileToString(path);
+  uint64_t header_bytes = 0;
+  std::memcpy(&header_bytes, raw.data() + 12, sizeof(header_bytes));
+  raw[header_bytes + 17] ^= 0x08;
+  ASSERT_TRUE(WriteFileAtomic(path, raw).ok());
+
+  Result<TensorFileView> view = TensorFileView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status();
+  Status bad = view->ReadRange(0, 1).status();
+  EXPECT_EQ(bad.code(), StatusCode::kDataLoss);
+  EXPECT_NE(bad.ToString().find("per-tensor CRC mismatch in " + path + " (chunk 0 of 1)"),
+            std::string::npos)
+      << bad.ToString();
+
+  // In a bundle, members the head carried before the damaged one still read from memory;
+  // the damaged member fails on read, named.
+  const std::string bundle_path = Sub("rotted_bundle");
+  TensorBundle bundle;
+  bundle.Add("a", Tensor::Full({16}, 1.0f));
+  bundle.Add("b", Tensor::Full({16}, 1.0f));
+  bundle.meta = Json(JsonObject{});
+  ASSERT_TRUE(SaveBundle(bundle_path, bundle).ok());
+  std::string bytes = *ReadFileToString(bundle_path);
+  std::memcpy(&header_bytes, bytes.data() + 12, sizeof(header_bytes));
+  bytes[header_bytes + 16 * 4 + 5] ^= 0x01;  // inside member "b"
+  ASSERT_TRUE(WriteFileAtomic(bundle_path, bytes).ok());
+  Result<BundleFileView> bview = BundleFileView::Open(bundle_path);
+  ASSERT_TRUE(bview.ok()) << bview.status();
+  Result<Tensor> a = bview->ReadTensor("a");
+  ASSERT_TRUE(a.ok()) << a.status();
+  EXPECT_TRUE(Tensor::BitEqual(*a, Tensor::Full({16}, 1.0f)));
+  Status bad_b = bview->ReadTensor("b").status();
+  EXPECT_EQ(bad_b.code(), StatusCode::kDataLoss);
+  EXPECT_NE(bad_b.ToString().find(bundle_path + ":b"), std::string::npos) << bad_b.ToString();
 }
 
 // Rewrites the version field of a saved container file and re-seals its trailing CRC, so the
@@ -238,6 +353,60 @@ TEST_F(LoadEnv, SlicedArmReadsFewerBytes) {
   EXPECT_GT(whole_bytes, 0u);
   EXPECT_LE(sliced_bytes * 2, whole_bytes)
       << "sliced " << sliced_bytes << " vs whole " << whole_bytes;
+}
+
+bool SameRuns(const std::vector<ShardRun>& a, const std::vector<ShardRun>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const ShardRun& x, const ShardRun& y) {
+                      return x.shard_offset == y.shard_offset &&
+                             x.full_offset == y.full_offset && x.numel == y.numel;
+                    });
+}
+
+// Property 5: the slice cache holds one entry per gather. On a TP2·DP2·ZeRO-0 target the
+// DP peers of each TP rank gather identical bytes from every atom, and the TP peers
+// identical bytes from replicated atoms, so each distinct gather misses once and every
+// other lookup hits — strided (dim>0) gathers included. The result is bit-exact with the
+// cache off.
+TEST_F(LoadEnv, SliceCacheSharesWholeGathersAcrossPeers) {
+  ModelConfig model = TinyGpt();
+  MakeUcp(model);
+  ParallelConfig target{2, 1, 2, 1, 0, 1};
+
+  // Distinct gathers: one per replicated atom, one per TP rank for a sharded one.
+  const RankLoadPlan plan = GenUcpMetadata(model, target, RankCoord{});
+  uint64_t distinct = 0;
+  int strided_atoms = 0;
+  int replicated_atoms = 0;
+  for (const AtomAssignment& a : plan.assignments) {
+    const std::vector<ShardRun> r0 = ShardRuns(a.target_spec, a.full_shape, 2, 0);
+    const std::vector<ShardRun> r1 = ShardRuns(a.target_spec, a.full_shape, 2, 1);
+    const bool shared = SameRuns(r0, r1);
+    distinct += shared ? 1 : 2;
+    replicated_atoms += shared ? 1 : 0;
+    strided_atoms += r0.size() > 1 ? 1 : 0;
+  }
+  ASSERT_GT(replicated_atoms, 0);
+  ASSERT_GT(strided_atoms, 0);
+  const uint64_t kStates = 3;
+  const uint64_t lookups = kStates * 4 * plan.assignments.size();
+
+  AtomSliceCache& cache = AtomSliceCache::Global();
+  cache.ResetStats();
+  TrainingRun cached(ConfigFor(model, target));
+  LoadAll(cached, Sub("ucp"), {.num_threads = 2, .sliced = true, .use_slice_cache = true});
+  EXPECT_EQ(cache.stats().misses, kStates * distinct);
+  EXPECT_EQ(cache.stats().hits, lookups - kStates * distinct);
+
+  TrainingRun uncached(ConfigFor(model, target));
+  LoadAll(uncached, Sub("ucp"), {.num_threads = 2, .sliced = true, .use_slice_cache = false});
+  for (int r = 0; r < cached.world_size(); ++r) {
+    const ZeroOptimizer& a = cached.trainer(r).optimizer();
+    const ZeroOptimizer& b = uncached.trainer(r).optimizer();
+    EXPECT_TRUE(Tensor::BitEqual(a.MasterState(), b.MasterState())) << "rank " << r;
+    EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgState(), b.ExpAvgState())) << "rank " << r;
+    EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgSqState(), b.ExpAvgSqState())) << "rank " << r;
+  }
 }
 
 // Property 5a: concurrent identical keys run the loader once; later callers share the slice
