@@ -1,20 +1,25 @@
-// Recovery-time split after a mid-run rank failure: native restart vs reconfigured resume.
+// Recovery-time split after a mid-run rank failure: native restart vs reconfigured resume,
+// and a kill vs a hang.
 //
-// Both arms share one kill scenario — TP2.PP2.DP2 (8 ranks), async checkpoint every 5
-// iterations, the last rank killed inside the gradient all-reduce of iteration 8, a short
-// watchdog so detection dominates neither arm. The supervisor then recovers two ways:
+// Every arm shares one fault scenario — TP2.PP2.DP2 (8 ranks), async checkpoint every 5
+// iterations, the last rank stopped inside the gradient all-reduce of iteration 8, a short
+// watchdog. The supervisor then recovers:
 //
-//   native_restart      — rebuild_same_strategy: the failed slot is assumed re-provisioned,
-//                         so resume loads the committed global_step5 through the strict
-//                         native loader (the "wait for a replacement node" baseline).
-//   reconfigured_resume — the UCP path: shrink to the 7 surviving slots (DP first ->
+//   native_restart      — kill + rebuild_same_strategy: the failed slot is assumed
+//                         re-provisioned, so resume loads the committed global_step5 through
+//                         the strict native loader (the "wait for a replacement node"
+//                         baseline).
+//   reconfigured_resume — kill + the UCP path: shrink to the 7 surviving slots (DP first ->
 //                         TP2.PP2.DP1 on 4 ranks), convert the checkpoint through UCP, and
 //                         continue degraded immediately.
+//   hang_reconfigured   — the reconfigured path after a hang instead of a kill: the victim
+//                         leaves no death mark, so only the watchdog detects it.
 //
 // BENCH_recovery.json reports the detect / teardown / rebuild / convert / load split per
-// arm (RecoveryTiming, as measured by the supervisor). The paper-level point: the
-// reconfigured arm pays a one-time conversion but needs no replacement hardware, and the
-// split shows where that time goes.
+// arm (RecoveryTiming, as measured by the supervisor) and what detected the failure. The
+// paper-level point: the reconfigured arm pays a one-time conversion but needs no
+// replacement hardware, and the split shows where that time goes; a killed rank is seen at
+// the first wait that needs it, a hung one only after the watchdog.
 
 #include <benchmark/benchmark.h>
 
@@ -31,34 +36,38 @@ namespace {
 constexpr int64_t kLastIteration = 15;
 constexpr int64_t kKillIteration = 8;
 constexpr int kVictim = 7;
+constexpr int kWatchdogMs = 300;
 
-Json RunArm(const char* label, bool rebuild_same_strategy) {
+Json RunArm(const char* label, bool rebuild_same_strategy, RankFaultKind fault) {
   const std::string dir = bench::FreshDir(std::string("fig13_") + label);
   TrainerConfig cfg = bench::MakeConfig(Gpt3Scaled(), {2, 2, 2, 1, 1, 1});
 
   SupervisorOptions options;
   options.ckpt_dir = dir + "/ckpt";
   options.checkpoint_every = 5;
-  options.watchdog_timeout = std::chrono::milliseconds(300);
+  options.watchdog_timeout = std::chrono::milliseconds(kWatchdogMs);
   options.rebuild_same_strategy = rebuild_same_strategy;
   Supervisor supervisor(cfg, options);
 
-  ArmRankFault({kVictim, kKillIteration, FaultSite::kAllReduce, /*nth=*/1});
+  ArmRankFault({kVictim, kKillIteration, FaultSite::kAllReduce, /*nth=*/1, fault});
   SupervisorReport report = supervisor.Train(1, kLastIteration);
   DisarmRankFaults();
   UCP_CHECK(report.ok) << report.status.ToString();
   UCP_CHECK(report.recoveries == 1);
   const RecoveryTiming& t = report.timings[0];
 
+  const char* detected_by = t.watchdog_detected ? "watchdog" : "death_mark";
   std::printf(
-      "fig13/%s: detect=%.3fs teardown=%.3fs rebuild=%.3fs convert=%.3fs load=%.3fs "
+      "fig13/%s: detect=%.3fs (%s) teardown=%.3fs rebuild=%.3fs convert=%.3fs load=%.3fs "
       "total=%.3fs (%s -> %s, resumed %s)\n",
-      label, t.detect_seconds, t.teardown_seconds, t.rebuild_seconds, t.convert_seconds,
-      t.load_seconds, t.total_seconds, t.old_strategy.ToString().c_str(),
+      label, t.detect_seconds, detected_by, t.teardown_seconds, t.rebuild_seconds,
+      t.convert_seconds, t.load_seconds, t.total_seconds, t.old_strategy.ToString().c_str(),
       t.new_strategy.ToString().c_str(), t.resumed_tag.c_str());
 
   JsonObject arm;
   arm["arm"] = label;
+  arm["fault"] = fault == RankFaultKind::kHang ? "hang" : "kill";
+  arm["detected_by"] = detected_by;
   arm["old_strategy"] = t.old_strategy.ToString();
   arm["new_strategy"] = t.new_strategy.ToString();
   arm["resumed_tag"] = t.resumed_tag;
@@ -80,8 +89,12 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
 
   ucp::JsonArray arms;
-  arms.emplace_back(ucp::RunArm("native_restart", /*rebuild_same_strategy=*/true));
-  arms.emplace_back(ucp::RunArm("reconfigured_resume", /*rebuild_same_strategy=*/false));
+  arms.emplace_back(ucp::RunArm("native_restart", /*rebuild_same_strategy=*/true,
+                                ucp::RankFaultKind::kKill));
+  arms.emplace_back(ucp::RunArm("reconfigured_resume", /*rebuild_same_strategy=*/false,
+                                ucp::RankFaultKind::kKill));
+  arms.emplace_back(ucp::RunArm("hang_reconfigured", /*rebuild_same_strategy=*/false,
+                                ucp::RankFaultKind::kHang));
 
   ucp::JsonObject doc;
   doc["benchmark"] = "fig13_recovery_time";
@@ -89,7 +102,7 @@ int main(int argc, char** argv) {
   doc["world_size"] = 8;
   doc["victim_rank"] = ucp::kVictim;
   doc["kill_iteration"] = ucp::kKillIteration;
-  doc["watchdog_ms"] = 300;
+  doc["watchdog_ms"] = ucp::kWatchdogMs;
   doc["arms"] = std::move(arms);
 
   ucp::bench::WriteBenchReport("BENCH_recovery.json", std::move(doc));

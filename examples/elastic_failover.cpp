@@ -1,9 +1,10 @@
 // Elastic failover: the paper's motivating scenario (Fig. 1), fully automated.
 //
 // A job trains on 8 ranks with periodic async checkpointing under the recovery supervisor.
-// Mid-run, "hardware fails": an armed fault kills rank 7 inside a gradient all-reduce. The
-// surviving ranks block, the world watchdog converts the hang into a detected RankFailure,
-// and the supervisor tears the run down, shrinks the strategy for the 7 remaining slots
+// Mid-run, "hardware fails": an armed fault kills rank 7 inside a gradient all-reduce. Its
+// death is marked in the world, so each surviving rank unwinds with a detected RankFailure
+// at its first wait that needs rank 7 (a hang would wait for the watchdog instead), and
+// the supervisor tears the run down, shrinks the strategy for the 7 remaining slots
 // (DP first: TP2.PP2.DP2 -> TP2.PP2.DP1, 4 ranks), converts the newest committed
 // checkpoint through UCP, and resumes — no operator in the loop. When capacity returns,
 // the job scales back up to 8 ranks from another on-demand UCP conversion.

@@ -145,6 +145,7 @@ void AsyncCheckpointEngine::ResolveLocked(const std::shared_ptr<PendingSave>& sa
 Status AsyncCheckpointEngine::SaveAsync(RankTrainer& trainer, int64_t iteration) {
   UCP_TRACE_NAMED_SPAN(span, "save.async.enqueue");
   UCP_TRACE_SPAN_ARG_I(span, "iteration", iteration);
+  UCP_RETURN_IF_ERROR(trainer.CheckHasState());
   const auto t0 = std::chrono::steady_clock::now();
   const int rank = trainer.rank();
   UCP_CHECK_LT(rank, world_size_);

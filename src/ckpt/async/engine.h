@@ -121,6 +121,8 @@ class AsyncCheckpointEngine {
   // Collective across ranks (like SaveDistributedCheckpoint), but returns after this
   // rank's snapshot is captured — it blocks for backpressure plus the host copy only.
   // Flush/commit errors surface later through WaitAll / WaitForIteration.
+  // kFailedPrecondition, with no save opened, for a trainer built for a load that has not
+  // loaded (RankTrainer::CheckHasState).
   Status SaveAsync(RankTrainer& trainer, int64_t iteration);
 
   // Blocks until the save of `iteration` resolves and returns its outcome: OkStatus once

@@ -43,6 +43,7 @@ CheckpointMeta MetaForSave(const RankTrainer& trainer, int64_t iteration) {
 
 Status SaveDistributedCheckpoint(Store& store, RankTrainer& trainer, int64_t iteration,
                                  const std::string& job) {
+  UCP_RETURN_IF_ERROR(trainer.CheckHasState());
   if (!IsValidJobId(job)) {
     return InvalidArgumentError("bad job id: " + job);
   }
@@ -193,8 +194,7 @@ Status LoadDistributedCheckpoint(const std::string& dir, const std::string& tag,
   if (peer_failed > 0.0) {
     return DataLossError("aborting load: a peer rank failed to read this checkpoint");
   }
-  return trainer.optimizer().LoadState(local->master, local->exp_avg, local->exp_avg_sq,
-                                       local->steps);
+  return trainer.LoadState(local->master, local->exp_avg, local->exp_avg_sq, local->steps);
 }
 
 }  // namespace ucp

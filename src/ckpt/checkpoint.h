@@ -47,6 +47,8 @@ namespace ucp {
 // world barrier; rank 0 additionally writes checkpoint_meta.json and updates the job's
 // `latest` pointer). `job` selects the tag namespace inside a shared store. The Store
 // overload is the canonical path; the dir overload wraps a LocalStore on `dir`.
+// kFailedPrecondition, before any collective, for a trainer built for a load that has not
+// loaded (RankTrainer::CheckHasState).
 Status SaveDistributedCheckpoint(Store& store, RankTrainer& trainer, int64_t iteration,
                                  const std::string& job = "");
 Status SaveDistributedCheckpoint(const std::string& dir, RankTrainer& trainer,

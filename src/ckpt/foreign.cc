@@ -12,6 +12,7 @@ std::string ForeignTagForIteration(int64_t iteration) {
 
 Status SaveForeignCheckpoint(const std::string& dir, RankTrainer& trainer,
                              int64_t iteration) {
+  UCP_RETURN_IF_ERROR(trainer.CheckHasState());
   const ParallelConfig& s = trainer.config().strategy;
   if (s.tp != 1 || s.pp != 1 || s.sp != 1 || s.zero_stage != 0) {
     return FailedPreconditionError(

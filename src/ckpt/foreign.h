@@ -22,7 +22,8 @@ namespace ucp {
 std::string ForeignTagForIteration(int64_t iteration);
 
 // Collective across the run's ranks; rank 0 writes the consolidated file. Requires
-// tp = pp = sp = 1 and ZeRO stage 0 (full replicated state on rank 0).
+// tp = pp = sp = 1 and ZeRO stage 0 (full replicated state on rank 0), and a trainer that
+// holds state (RankTrainer::CheckHasState).
 Status SaveForeignCheckpoint(const std::string& dir, RankTrainer& trainer,
                              int64_t iteration);
 

@@ -22,6 +22,15 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 thread_local int tl_watchdog_suspend_depth = 0;
 
+// A wait that needs a dead member unwinds with that member's failure, and `self_rank` is
+// dead from here on too, so its own peers stop at their first wait that needs it.
+[[noreturn]] void ThrowDeath(AbortState& state, int self_rank, RankFailure failure,
+                             std::chrono::steady_clock::time_point wait_start) {
+  failure.blocked_seconds = SecondsSince(wait_start);
+  state.MarkDead(self_rank, failure);
+  throw RankFailureError(std::move(failure));
+}
+
 }  // namespace
 
 bool WatchdogSuspended() { return tl_watchdog_suspend_depth > 0; }
@@ -44,7 +53,27 @@ void AbortState::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   aborted_.store(false, std::memory_order_release);
   failure_ = RankFailure{};
+  dead_.clear();
+  any_dead_.store(false, std::memory_order_release);
   epoch_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+void AbortState::MarkDead(int rank, RankFailure failure) {
+  std::lock_guard<std::mutex> lock(mu_);
+  dead_.emplace(rank, std::move(failure));
+  any_dead_.store(true, std::memory_order_release);
+}
+
+std::optional<RankFailure> AbortState::DeathOf(int rank) const {
+  if (!any_dead_.load(std::memory_order_acquire)) {
+    return std::nullopt;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = dead_.find(rank);
+  if (it == dead_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
 }
 
 GroupState::GroupState(std::vector<int> member_ranks, std::shared_ptr<AbortState> abort)
@@ -79,6 +108,17 @@ void GroupState::FailWatchdog(std::chrono::steady_clock::time_point wait_start,
   // First caller wins: if another rank already aborted the world, propagate its (earlier)
   // root cause instead of ours.
   throw RankFailureError(abort_->Abort(std::move(failure)));
+}
+
+std::optional<RankFailure> GroupState::DeadAbsentee() const {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i] == nullptr) {
+      if (std::optional<RankFailure> death = abort_->DeathOf(members_[i])) {
+        return death;
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 const std::vector<const void*>& GroupState::Exchange(int index, const void* p) {
@@ -118,15 +158,20 @@ const std::vector<const void*>& GroupState::Exchange(int index, const void* p) {
     // cancelled (consuming_ false, our retraction below) may unwind.
     while (!consuming_) {
       const bool aborted = abort_->aborted();
+      std::optional<RankFailure> death = DeadAbsentee();
       const bool expired =
           !WatchdogSuspended() && std::chrono::steady_clock::now() >= deadline;
-      if (aborted || expired) {
+      if (aborted || death.has_value() || expired) {
         // Retract our deposit so the op can never complete and read our unwound frame. Any
         // member that would have completed it instead observes the abort flag at its own
-        // deposit-time check and unwinds too.
+        // deposit-time check, or this rank's death mark in its wait, and unwinds too.
         slots_[static_cast<size_t>(index)] = nullptr;
         --deposited_;
         if (aborted) throw RankFailureError(abort_->failure());
+        if (death.has_value()) {
+          ThrowDeath(*abort_, members_[static_cast<size_t>(index)], std::move(*death),
+                     wait_start);
+        }
         int suspect = -1;
         for (size_t i = 0; i < slots_.size(); ++i) {
           if (slots_[i] == nullptr) {
@@ -182,6 +227,9 @@ Tensor Mailbox::Recv(int src, int dst) {
   // Predicate before abort flag: an already-delivered message is consumed normally.
   while (!has_message()) {
     if (abort_->aborted()) throw RankFailureError(abort_->failure());
+    if (std::optional<RankFailure> death = abort_->DeathOf(src)) {
+      ThrowDeath(*abort_, dst, std::move(*death), wait_start);
+    }
     if (!WatchdogSuspended() && std::chrono::steady_clock::now() >= deadline) {
       const FaultContext ctx = CurrentFaultContext();
       RankFailure failure;

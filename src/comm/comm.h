@@ -13,12 +13,17 @@
 // the property the resume-bit-exactness tests rely on.
 //
 // Fault tolerance: every blocking wait (collective rendezvous, P2P receive) is abortable.
-// The World carries an epoch'd abort flag plus a watchdog deadline; a rank blocked longer
-// than `WorldOptions::watchdog_timeout` declares the suspected peer failed, aborts the whole
-// world (first caller wins), and every blocked rank unwinds with a RankFailureError instead
-// of deadlocking. An aborted World is poisoned — subsequent collective calls throw — and is
-// expected to be torn down and rebuilt by the recovery supervisor (src/runtime/supervisor.h).
-// See docs/fault_tolerance.md for the failure model and the safety argument for deposited
+// The World carries a dead-member set, an epoch'd abort flag and a watchdog deadline. A
+// rank that stops for good marks itself dead (MarkDead) before its thread exits; a wait
+// that still lacks a dead member's deposit or message unwinds at once with that member's
+// failure, and the unwinding rank marks itself dead too, so each live rank stops at its
+// first wait that cannot complete. Waits that need no dead member proceed. A rank that
+// stops without a mark (a hang) is caught by the watchdog: a rank blocked longer than
+// `WorldOptions::watchdog_timeout` declares the suspected peer failed, aborts the whole
+// world (first caller wins), and every blocked rank unwinds with a RankFailureError
+// instead of deadlocking. A world with a dead member or an abort is expected to be torn
+// down and rebuilt by the recovery supervisor (src/runtime/supervisor.h). See
+// docs/fault_tolerance.md for the failure model and the safety argument for deposited
 // stack buffers.
 
 #ifndef UCP_SRC_COMM_COMM_H_
@@ -48,8 +53,8 @@ struct WorldOptions {
 };
 
 // While an instance is in scope on the calling rank's thread, that rank's collective and
-// P2P waits skip the watchdog deadline (world-abort checks stay active, so the rank still
-// unwinds promptly when a failure is detected elsewhere). For phases where a peer
+// P2P waits skip the watchdog deadline (world-abort and dead-member checks stay active, so
+// the rank still unwinds promptly when a failure is detected elsewhere). For phases where a peer
 // legitimately performs unbounded-duration local work while others wait — e.g. rank 0
 // converting a checkpoint to UCP behind the resume barrier — which would otherwise read as
 // a silent hang. Nests; every rank entering such a phase suspends its own waits.
@@ -66,9 +71,10 @@ namespace internal {
 // True while a ScopedWatchdogSuspend is live on this thread.
 bool WatchdogSuspended();
 
-// World-wide abort flag shared by every group and the mailbox. First Abort() wins and pins
-// the canonical root-cause failure; later callers get the existing failure back. Clear()
-// bumps the epoch and re-arms the world (used by tests; the supervisor rebuilds instead).
+// World-wide failure state shared by every group and the mailbox: the dead-member set and
+// the abort flag. First Abort() wins and pins the canonical root-cause failure; later
+// callers get the existing failure back. Clear() forgets both, bumps the epoch and re-arms
+// the world (used by tests; the supervisor rebuilds instead).
 class AbortState {
  public:
   explicit AbortState(std::chrono::milliseconds watchdog) : watchdog_(watchdog) {}
@@ -84,12 +90,19 @@ class AbortState {
   RankFailure failure() const;
   void Clear();
 
+  // Records that `rank` stopped for good with `failure`. The first mark of a rank stands.
+  void MarkDead(int rank, RankFailure failure);
+  // The failure `rank` was marked dead with, or nullopt while it is alive.
+  std::optional<RankFailure> DeathOf(int rank) const;
+
  private:
   std::chrono::milliseconds watchdog_;
   std::atomic<bool> aborted_{false};
+  std::atomic<bool> any_dead_{false};  // fast path: no marks means one acquire load
   std::atomic<uint64_t> epoch_{0};
   mutable std::mutex mu_;
   RankFailure failure_;
+  std::map<int, RankFailure> dead_;
 };
 
 // Rendezvous shared by all member ranks of one group. Implements a deposit/consume protocol:
@@ -107,9 +120,9 @@ class GroupState {
 
   // Deposits `p` at `index`; returns once all members have deposited. The returned vector is
   // ordered by group index and stays valid until Done() is called. Throws RankFailureError
-  // if the world aborts or the watchdog deadline passes while waiting; on that path this
-  // member's deposit (if any) is retracted first, so a poisoned op can never complete and
-  // read an unwound frame's buffer.
+  // if the world aborts, a member that has not deposited is dead, or the watchdog deadline
+  // passes while waiting; on that path this member's deposit (if any) is retracted first,
+  // so a poisoned op can never complete and read an unwound frame's buffer.
   const std::vector<const void*>& Exchange(int index, const void* p);
   // Marks this member finished with the slot vector; returns once all members are finished.
   // Deliberately NOT abort-sensitive: once every member has deposited, every member is alive
@@ -122,6 +135,8 @@ class GroupState {
   // Aborts the world blaming `suspect_rank` and throws. Requires mu_ held.
   [[noreturn]] void FailWatchdog(std::chrono::steady_clock::time_point wait_start,
                                  const char* wait_site, int suspect_rank);
+  // The death of the first member that has not deposited, if any is dead. Requires mu_.
+  std::optional<RankFailure> DeadAbsentee() const;
 
   std::vector<int> members_;
   std::shared_ptr<AbortState> abort_;
@@ -134,7 +149,8 @@ class GroupState {
 };
 
 // Blocking FIFO channels for point-to-point messages, keyed by (src, dst). Recv is abortable
-// with the same watchdog semantics as GroupState (the suspect is the sender).
+// with the same dead-member and watchdog semantics as GroupState (the suspect is the
+// sender).
 class Mailbox {
  public:
   explicit Mailbox(std::shared_ptr<AbortState> abort) : abort_(std::move(abort)) {}
@@ -172,9 +188,12 @@ class World {
   void Send(int src_rank, int dst_rank, const Tensor& t);
   Tensor Recv(int src_rank, int dst_rank);
 
-  // Fault handling. Abort is first-caller-wins and returns the canonical failure; every
-  // blocked rank then unwinds with RankFailureError within one wait quantum. An aborted
-  // world is poisoned until ClearAbort() (tests) or, normally, destruction.
+  // Fault handling. MarkDead records that `rank` stopped for good: every rank blocked on it
+  // unwinds with `failure` within one wait quantum and is marked dead in turn. Abort is
+  // first-caller-wins and returns the canonical failure; every blocked rank then unwinds
+  // with RankFailureError within one wait quantum. An aborted world is poisoned until
+  // ClearAbort() (tests) or, normally, destruction.
+  void MarkDead(int rank, RankFailure failure) { abort_->MarkDead(rank, std::move(failure)); }
   RankFailure Abort(RankFailure failure) { return abort_->Abort(std::move(failure)); }
   bool aborted() const { return abort_->aborted(); }
   RankFailure failure() const { return abort_->failure(); }

@@ -40,7 +40,7 @@ const char* FaultSiteName(FaultSite site) {
 
 std::string RankFailure::ToString() const {
   std::ostringstream os;
-  os << (kind == Kind::kInjected ? "injected" : "watchdog")
+  os << (kind == Kind::kInjected ? "injected" : kind == Kind::kHang ? "hang" : "watchdog")
      << " failure: rank " << rank << " at iteration " << iteration
      << " in " << site;
   if (blocked_seconds > 0.0) os << " (blocked " << blocked_seconds << "s)";
@@ -78,6 +78,7 @@ void CheckRankFault(FaultSite site) {
   if (!g_armed.load(std::memory_order_relaxed)) return;
   const FaultContext ctx = tl_context;
   bool fire = false;
+  bool hang = false;
   {
     std::lock_guard<std::mutex> lock(g_mu);
     if (!g_armed.load(std::memory_order_relaxed) || g_fault.fired) return;
@@ -88,15 +89,17 @@ void CheckRankFault(FaultSite site) {
     if (++g_fault.site_hits < g_fault.plan.nth) return;
     g_fault.fired = true;
     fire = true;
+    hang = g_fault.plan.kind == RankFaultKind::kHang;
   }
   if (fire) {
     g_fired.store(true, std::memory_order_release);
     RankFailure failure;
-    failure.kind = RankFailure::Kind::kInjected;
+    failure.kind = hang ? RankFailure::Kind::kHang : RankFailure::Kind::kInjected;
     failure.rank = ctx.rank;
     failure.iteration = ctx.iteration;
     failure.site = FaultSiteName(site);
-    failure.detail = "rank killed by armed RankFaultPlan";
+    failure.detail =
+        hang ? "rank hung by armed RankFaultPlan" : "rank killed by armed RankFaultPlan";
     throw RankFailureError(std::move(failure));
   }
 }

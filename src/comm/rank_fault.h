@@ -2,13 +2,16 @@
 // the one exception type that may cross stack frames, and a deterministic rank-kill
 // injector mirroring the filesystem injector in src/common/fault_fs.h.
 //
-// Failure semantics are fail-stop: a killed rank simply stops participating — it deposits
-// nothing further into collectives and sends nothing over the mailbox. Peers cannot observe
-// the death directly; they detect it when a collective or P2P receive exceeds the world's
-// watchdog timeout (comm.h), at which point the detecting rank aborts the whole world and
-// every blocked rank unwinds with a RankFailureError. The recovery supervisor
-// (src/runtime/supervisor.h) catches the failure, shrinks the parallelism strategy, and
-// resumes from the newest committed checkpoint.
+// Failure semantics are fail-stop. A killed rank stops participating: it deposits nothing
+// further into collectives and sends nothing over the mailbox. Before its thread exits it
+// marks itself dead in its World (World::MarkDead), the way a launcher sees a process
+// exit. A peer whose collective or P2P receive still lacks the dead rank's deposit or
+// message unwinds at once with the victim's failure and marks itself dead too, so every
+// live rank stops at its first wait that cannot complete. A hung rank (RankFaultKind::kHang)
+// stops without a mark: peers see it only when a wait exceeds the world's watchdog timeout
+// (comm.h), and the detecting rank then aborts the whole world. Either way the recovery
+// supervisor (src/runtime/supervisor.h) catches the failure, shrinks the parallelism
+// strategy, and resumes from the newest committed checkpoint.
 //
 // Exceptions: the library otherwise returns Status, but a rank failure must unwind
 // arbitrary model/optimizer code blocked deep inside a collective, which is exactly what
@@ -46,7 +49,8 @@ const char* FaultSiteName(FaultSite site);
 // One rank failure, as seen by whoever reports it.
 struct RankFailure {
   enum class Kind {
-    kInjected,  // this rank's own (simulated) death
+    kInjected,  // this rank's own (simulated) death; marked, so peers see it at once
+    kHang,      // this rank's own (simulated) hang; unmarked, so peers wait for the watchdog
     kWatchdog,  // a peer declared this rank failed after a watchdog timeout
   };
   Kind kind = Kind::kWatchdog;
@@ -54,7 +58,7 @@ struct RankFailure {
   int64_t iteration = -1;    // iteration the reporting rank was executing; -1 outside training
   std::string site;          // FaultSiteName(...) or a watchdog wait-site label
   std::string detail;        // free-form: who detected it, how long they waited, ...
-  double blocked_seconds = 0.0;  // how long the detector waited before declaring (watchdog)
+  double blocked_seconds = 0.0;  // how long the detector waited before declaring
 
   std::string ToString() const;
 };
@@ -71,14 +75,21 @@ class RankFailureError : public std::exception {
   std::string what_;
 };
 
-// Deterministic rank-kill plan: kill `rank` at the `nth` hit of `site` during `iteration`.
-// Process-global like FaultPlan; the plan fires exactly once and stays spent until
-// DisarmRankFaults().
+// What an armed plan does to its victim.
+enum class RankFaultKind {
+  kKill,  // the rank dies and is marked dead: peers unwind at the first wait that needs it
+  kHang,  // the rank stops unmarked: only the watchdog detects it
+};
+
+// Deterministic rank-fault plan: kill (or hang) `rank` at the `nth` hit of `site` during
+// `iteration`. Process-global like FaultPlan; the plan fires exactly once and stays spent
+// until DisarmRankFaults().
 struct RankFaultPlan {
   int rank = -1;
   int64_t iteration = 0;
   FaultSite site = FaultSite::kAllReduce;
   int nth = 1;  // fire on the nth matching site hit (1-based) within that iteration
+  RankFaultKind kind = RankFaultKind::kKill;
 };
 
 void ArmRankFault(const RankFaultPlan& plan);
@@ -105,8 +116,9 @@ struct FaultContext {
 void SetFaultContext(int rank, int64_t iteration);
 FaultContext CurrentFaultContext();
 
-// The injection hook: throws RankFailureError (Kind::kInjected) when the armed plan matches
-// this thread's context and `site`. Disarmed, it is a single relaxed atomic load.
+// The injection hook: throws RankFailureError (Kind::kInjected for a kill, Kind::kHang for a
+// hang) when the armed plan matches this thread's context and `site`. Disarmed, it is a
+// single relaxed atomic load.
 void CheckRankFault(FaultSite site);
 
 }  // namespace ucp

@@ -104,7 +104,7 @@ Status WriteWholeFile(const std::string& path, const void* data, size_t size,
       ::close(fd);
       return UnavailableError("fault injection: transient fsync " + path);
     }
-    if (::fsync(fd) != 0) {
+    if (CountedFsync(fd) != 0) {
       ::close(fd);
       return IoError("fsync failed: " + path + ": " + std::strerror(errno));
     }
@@ -146,7 +146,7 @@ Status FsyncExistingFile(const std::string& path) {
   if (fd < 0) {
     return IoError("open for fsync failed: " + path + ": " + std::strerror(errno));
   }
-  if (::fsync(fd) != 0) {
+  if (CountedFsync(fd) != 0) {
     ::close(fd);
     return IoError("fsync failed: " + path + ": " + std::strerror(errno));
   }
@@ -157,6 +157,12 @@ Status FsyncExistingFile(const std::string& path) {
 }
 
 }  // namespace
+
+int CountedFsync(int fd) {
+  static obs::Counter& fsyncs = obs::MetricsRegistry::Global().GetCounter("fs.fsync.calls");
+  fsyncs.Add(1);
+  return ::fsync(fd);
+}
 
 ScopedFsyncBatch::ScopedFsyncBatch() : previous_(g_active_fsync_batch) {
   g_active_fsync_batch = this;
@@ -170,8 +176,6 @@ Status ScopedFsyncBatch::SyncAll() {
   }
   UCP_TRACE_NAMED_SPAN(span, "fs.fsync_batch");
   UCP_TRACE_SPAN_ARG_I(span, "files", static_cast<int64_t>(paths_.size()));
-  static obs::Counter& fsyncs = obs::MetricsRegistry::Global().GetCounter("fs.fsync.calls");
-  fsyncs.Add(paths_.size());
   for (const std::string& path : paths_) {
     UCP_RETURN_IF_ERROR(RetryTransient([&path] { return FsyncExistingFile(path); }));
   }

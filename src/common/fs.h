@@ -88,6 +88,12 @@ class ScopedFsyncBatch {
   ScopedFsyncBatch* previous_;  // restores the outer batch on destruction
 };
 
+// fsync(2) of an open file, counted in the `fs.fsync.calls` metric; returns what fsync
+// returns. Every fsync of checkpoint data goes through here — the atomic write's eager
+// fsync, a batch's deferred ones, the store daemon's spool fsync — so the counter is the
+// number of fsyncs made.
+int CountedFsync(int fd);
+
 // Renames `from` to `to` (same filesystem; `to` must not exist for directories). This is
 // the commit point of the checkpoint staging protocol, so it routes through the fault
 // injector like the file writes do.

@@ -54,11 +54,15 @@ Tensor InitFullValue(const LogicalParam& info, uint64_t model_seed) {
 }
 
 ParamPtr MaterializeParam(const LogicalParam& info, uint64_t model_seed, int tp_degree,
-                          int tp_rank) {
+                          int tp_rank, InitMode mode) {
   auto param = std::make_shared<Param>();
   param->info = info;
-  Tensor full = InitFullValue(info, model_seed);
-  param->value = ShardOf(info.tp_spec, full, tp_degree, tp_rank);
+  if (mode == InitMode::kForLoad) {
+    param->value = Tensor::Zeros(ShardShape(info.tp_spec, info.full_shape, tp_degree));
+  } else {
+    Tensor full = InitFullValue(info, model_seed);
+    param->value = ShardOf(info.tp_spec, full, tp_degree, tp_rank);
+  }
   param->AllocateGrad();
   return param;
 }

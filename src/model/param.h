@@ -81,10 +81,16 @@ class ParamStore {
   std::map<std::string, size_t> index_;
 };
 
-// Materializes this rank's shard of a logical parameter: deterministic full-tensor init
-// followed by ShardOf, so every TP degree sees consistent slices of the same logical values.
+// How a rank fills its parameter storage when it is built. kDraw runs the deterministic
+// initialization (a fresh run). kForLoad leaves shard-shaped zeros, for a world that a
+// checkpoint load overwrites next: every master, moment, step count and published value.
+enum class InitMode : uint8_t { kDraw, kForLoad };
+
+// Materializes this rank's shard of a logical parameter. kDraw: deterministic full-tensor
+// init followed by ShardOf, so every TP degree sees consistent slices of the same logical
+// values. kForLoad: zeros of the shard's shape, with no draw.
 ParamPtr MaterializeParam(const LogicalParam& info, uint64_t model_seed, int tp_degree,
-                          int tp_rank);
+                          int tp_rank, InitMode mode = InitMode::kDraw);
 
 // The deterministic full-value initialization (used by MaterializeParam and by tests that
 // compare consolidated checkpoints against logical values).

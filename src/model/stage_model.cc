@@ -14,14 +14,15 @@ constexpr char kOutputLayer[] = "language_model.output_layer.weight";
 }  // namespace
 
 StageModel::StageModel(const ModelConfig& config, const ParallelConfig& strategy,
-                       const RankCoord& coord)
+                       const RankCoord& coord, InitMode init)
     : config_(config), strategy_(strategy), coord_(coord) {
   config.Validate();
   std::vector<InventoryEntry> inventory = BuildInventory(config);
   std::vector<InventoryEntry> mine = StageEntries(inventory, config, coord.pp, strategy.pp);
 
   for (const InventoryEntry& entry : mine) {
-    ParamPtr p = MaterializeParam(entry.param, config.init_seed, strategy.tp, coord.tp);
+    ParamPtr p =
+        MaterializeParam(entry.param, config.init_seed, strategy.tp, coord.tp, init);
     // The last-stage copy of a tied embedding trains but is excluded from checkpoints and
     // the gradient norm: the first-stage copy is canonical.
     p->tied_secondary = IsTiedSecondary(entry, config, strategy, coord);

@@ -16,8 +16,10 @@ namespace ucp {
 
 class StageModel {
  public:
-  // Materializes this rank's parameter shards (deterministic init) and builds the layers.
-  StageModel(const ModelConfig& config, const ParallelConfig& strategy, const RankCoord& coord);
+  // Materializes this rank's parameter shards (deterministic init, or zeros for a model a
+  // checkpoint load fills next; see InitMode) and builds the layers.
+  StageModel(const ModelConfig& config, const ParallelConfig& strategy, const RankCoord& coord,
+             InitMode init = InitMode::kDraw);
 
   ParamStore& store() { return store_; }
   const ParamStore& store() const { return store_; }

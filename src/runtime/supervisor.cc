@@ -114,6 +114,11 @@ SupervisorReport Supervisor::Train(int64_t first_iteration, int64_t last_iterati
   std::optional<RecoveryTiming> pending;
 
   for (;;) {
+    // A committed tag means the world about to be built is loaded straight away: build it
+    // without drawing the weights that load overwrites. If the resume then fails, Train
+    // gives up, so a world built for a load never trains.
+    const bool resume = !options_.ckpt_dir.empty() &&
+                        FindLatestValidTag(options_.ckpt_dir, options_.async.job).ok();
     const auto rebuild_start = std::chrono::steady_clock::now();
     WorldOptions world_options;
     world_options.watchdog_timeout = options_.watchdog_timeout;
@@ -121,8 +126,11 @@ SupervisorReport Supervisor::Train(int64_t first_iteration, int64_t last_iterati
     std::unique_ptr<AsyncCheckpointEngine> engine;
     {
       UCP_TRACE_SPAN_ARGS("recovery.rebuild",
-                          ::ucp::obs::TraceArgs().S("strategy", cfg.strategy.ToString()));
-      run = std::make_unique<TrainingRun>(cfg, world_options);
+                          ::ucp::obs::TraceArgs()
+                              .S("strategy", cfg.strategy.ToString())
+                              .S("params", resume ? "for_load" : "drawn"));
+      run = std::make_unique<TrainingRun>(cfg, world_options,
+                                          resume ? InitMode::kForLoad : InitMode::kDraw);
       if (!options_.ckpt_dir.empty() && options_.checkpoint_every > 0) {
         if (!options_.store_endpoint.empty()) {
           Result<std::shared_ptr<RemoteStore>> remote =
@@ -144,8 +152,7 @@ SupervisorReport Supervisor::Train(int64_t first_iteration, int64_t last_iterati
     int64_t next = first_iteration;
     ResumeReport resume_report;
     bool resumed = false;
-    if (!options_.ckpt_dir.empty() &&
-        FindLatestValidTag(options_.ckpt_dir, options_.async.job).ok()) {
+    if (resume) {
       UCP_TRACE_SPAN("recovery.resume");
       Status resume_status = OkStatus();
       std::mutex resume_mu;
@@ -237,13 +244,17 @@ SupervisorReport Supervisor::Train(int64_t first_iteration, int64_t last_iterati
     timing.failure = outcome.failure;
     timing.old_strategy = cfg.strategy;
     timing.detect_seconds = outcome.failure.blocked_seconds;
-    UCP_LOG(Warning) << "rank failure detected: " << outcome.failure.ToString();
+    timing.watchdog_detected = outcome.watchdog_detected;
+    UCP_LOG(Warning) << "rank failure detected by "
+                     << (timing.watchdog_detected ? "the watchdog" : "a death mark") << ": "
+                     << outcome.failure.ToString();
     static obs::Counter& failures =
         obs::MetricsRegistry::Global().GetCounter("recovery.rank_failures");
     failures.Add(1);
     UCP_TRACE_INSTANT("recovery.detected",
                       ::ucp::obs::TraceArgs()
                           .I("rank", outcome.failure.rank)
+                          .S("detected_by", timing.watchdog_detected ? "watchdog" : "death_mark")
                           .D("detect_seconds", timing.detect_seconds));
     // Dump the in-memory rings before teardown reuses them: the dossier should show what
     // every rank was doing when the failure hit, not what the rebuilt world did after.

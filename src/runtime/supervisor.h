@@ -2,8 +2,8 @@
 // as one automated code path.
 //
 // Supervisor::Train drives a TrainingRun with periodic async checkpoints. When a rank fails
-// mid-run — injected kill or watchdog-detected hang — the surviving ranks unwind via the
-// world abort (comm.h), and the supervisor:
+// mid-run, the surviving ranks unwind (comm.h): at their first wait that needs a killed
+// rank, which is marked dead, or at the watchdog for a hung one. The supervisor then runs:
 //
 //   1. DETECT    — TryTrain returns the root-cause RankFailure instead of deadlocking.
 //   2. TEARDOWN  — abandons checkpoint saves whose gather the dead rank stranded, drains the
@@ -12,7 +12,9 @@
 //   3. SHRINK    — picks a fallback ParallelConfig for the reduced rank count via the
 //                  strategy-shrink policy (drop DP first, then TP, then PP, then SP).
 //   4. RESUME    — rebuilds trainers on the new strategy and drives ResumeElastic, which
-//                  converts the checkpoint through UCP when the strategy changed.
+//                  converts the checkpoint through UCP when the strategy changed. A world
+//                  rebuilt over a committed tag skips the weight draw (InitMode::kForLoad):
+//                  the load overwrites every value it would produce.
 //
 // Every phase is timed per recovery (RecoveryTiming) — the recovery-time split
 // bench/fig13_recovery_time.cc reports. See docs/fault_tolerance.md.
@@ -77,8 +79,8 @@ struct SupervisorOptions {
 };
 
 // One recovery's phase timing, in seconds of wall clock on the supervising thread (detect is
-// the failed collective's blocked time as reported by the watchdog; 0 for injected kills
-// observed without a watchdog wait). The same phases are emitted as "recovery.*" trace
+// the longest time a survivor was blocked before it unwound: on a death mark or at the
+// watchdog; 0 when no survivor was blocked). The same phases are emitted as "recovery.*" trace
 // spans (src/obs/trace.h) on the supervising thread; this struct remains the programmatic
 // report, the spans feed the Chrome trace and flight recorder.
 struct RecoveryTiming {
@@ -87,9 +89,12 @@ struct RecoveryTiming {
   ParallelConfig new_strategy;
   std::string resumed_tag;  // empty when no checkpoint existed (restarted from scratch)
   ResumeReport::Path resume_path = ResumeReport::Path::kNative;
+  // What surfaced the failure: true for a watchdog expiry (how hangs are seen), false for
+  // the dead rank's mark (how kills are seen, at the first wait that needs the rank).
+  bool watchdog_detected = false;
   double detect_seconds = 0.0;
   double teardown_seconds = 0.0;  // abandon + drain engine, destroy run
-  double rebuild_seconds = 0.0;   // new World + trainers
+  double rebuild_seconds = 0.0;   // new World + trainers (no weight draw over a tag)
   double convert_seconds = 0.0;   // UCP convert (or cache hit) inside ResumeElastic
   double load_seconds = 0.0;      // native or UCP load inside ResumeElastic
   double total_seconds = 0.0;     // sum of the above

@@ -26,15 +26,17 @@ void TrainerConfig::Validate() const {
   UCP_CHECK_EQ(model.hidden % s.tp, 0) << "hidden must divide across TP ranks";
 }
 
-RankTrainer::RankTrainer(Topology* topology, int rank, const TrainerConfig& config)
+RankTrainer::RankTrainer(Topology* topology, int rank, const TrainerConfig& config,
+                         InitMode init)
     : topology_(topology),
       rank_(rank),
       coord_(topology->CoordOf(rank)),
       config_(config),
       groups_(topology->GroupsFor(rank)),
-      dataset_(config.model.vocab_size, config.model.max_seq_len, config.data_seed) {
+      dataset_(config.model.vocab_size, config.model.max_seq_len, config.data_seed),
+      awaiting_load_(init == InitMode::kForLoad) {
   config_.Validate();
-  model_ = std::make_unique<StageModel>(config.model, config.strategy, coord_);
+  model_ = std::make_unique<StageModel>(config.model, config.strategy, coord_, init);
   optimizer_ = std::make_unique<ZeroOptimizer>(&model_->store(), config.strategy.zero_stage,
                                                groups_.dp, groups_.world,
                                                config.compute_dtype);
@@ -44,8 +46,25 @@ RankTrainer::RankTrainer(Topology* topology, int rank, const TrainerConfig& conf
                              config.model.hidden;
 }
 
+Status RankTrainer::LoadState(const Tensor& master, const Tensor& exp_avg,
+                              const Tensor& exp_avg_sq, int64_t steps_taken) {
+  UCP_RETURN_IF_ERROR(optimizer_->LoadState(master, exp_avg, exp_avg_sq, steps_taken));
+  awaiting_load_ = false;
+  return OkStatus();
+}
+
+Status RankTrainer::CheckHasState() const {
+  if (awaiting_load_) {
+    return FailedPreconditionError("rank " + std::to_string(rank_) +
+                                   " was built for a checkpoint load and has not loaded one");
+  }
+  return OkStatus();
+}
+
 double RankTrainer::TrainIteration(int64_t iteration) {
   UCP_CHECK_GE(iteration, 1);
+  UCP_CHECK(!awaiting_load_) << "rank " << rank_
+                             << " was built for a checkpoint load and has not loaded one";
   // Keep the fault machinery's view of "where is this rank" current: watchdog reports and
   // injected kills are both attributed to this (rank, iteration).
   SetFaultContext(rank_, iteration);
@@ -165,7 +184,8 @@ void RankTrainer::SyncGradients() {
   // 3. DP/ZeRO sync happens inside ZeroOptimizer::Step.
 }
 
-TrainingRun::TrainingRun(const TrainerConfig& config, WorldOptions world_options)
+TrainingRun::TrainingRun(const TrainerConfig& config, WorldOptions world_options,
+                         InitMode init)
     : config_(config) {
   config_.Validate();
   world_ = std::make_unique<World>(config.strategy.world_size(), world_options);
@@ -175,7 +195,7 @@ TrainingRun::TrainingRun(const TrainerConfig& config, WorldOptions world_options
   // collectives, so plain threads suffice.
   RunSpmd(world_->size(), [&](int rank) {
     trainers_[static_cast<size_t>(rank)] =
-        std::make_unique<RankTrainer>(topology_.get(), rank, config_);
+        std::make_unique<RankTrainer>(topology_.get(), rank, config_, init);
   });
 }
 
@@ -215,17 +235,26 @@ TrainOutcome TrainingRun::TryTrain(
   std::vector<std::optional<RankFailure>> failures =
       RunSpmdFallible(n, [&](int rank) {
         RankTrainer& trainer = *trainers_[static_cast<size_t>(rank)];
-        for (int64_t it = first_iteration; it <= last_iteration; ++it) {
-          double loss = trainer.TrainIteration(it);
-          if (rank == 0) {
-            rank0_losses[static_cast<size_t>(it - first_iteration)] = loss;
+        try {
+          for (int64_t it = first_iteration; it <= last_iteration; ++it) {
+            double loss = trainer.TrainIteration(it);
+            if (rank == 0) {
+              rank0_losses[static_cast<size_t>(it - first_iteration)] = loss;
+            }
+            // The step itself is done: a kill inside the checkpoint hook below must not
+            // discard the iteration it follows.
+            completed[static_cast<size_t>(rank)] = it;
+            if (after_iteration) {
+              after_iteration(trainer, it);
+            }
           }
-          // The step itself is done: a kill inside the checkpoint hook below must not
-          // discard the iteration it follows.
-          completed[static_cast<size_t>(rank)] = it;
-          if (after_iteration) {
-            after_iteration(trainer, it);
+        } catch (const RankFailureError& e) {
+          // A killed rank's exit is visible, as a launcher sees a process exit: peers
+          // blocked on it unwind at once. A hung rank stays silent for the watchdog.
+          if (e.failure().kind == RankFailure::Kind::kInjected) {
+            world_->MarkDead(rank, e.failure());
           }
+          throw;
         }
       });
 
@@ -241,16 +270,17 @@ TrainOutcome TrainingRun::TryTrain(
     if (!f.has_value()) {
       continue;
     }
-    // Every surviving rank reports the same canonical watchdog failure; the victim's own
-    // kInjected report (when the kill was injected) is the more precise root cause.
-    if (!outcome.failed || (outcome.failure.kind != RankFailure::Kind::kInjected &&
-                            f->kind == RankFailure::Kind::kInjected)) {
+    // Survivors report the victim's failure (death mark) or the canonical watchdog
+    // failure; the victim's own report (kill or hang) is the more precise root cause.
+    if (!outcome.failed || (outcome.failure.kind == RankFailure::Kind::kWatchdog &&
+                            f->kind != RankFailure::Kind::kWatchdog)) {
       outcome.failure = *f;
     }
     outcome.failed = true;
+    outcome.watchdog_detected |= f->kind == RankFailure::Kind::kWatchdog;
   }
   // Detection is complete only once the last blocked survivor declared the failure: report
-  // the longest watchdog wait even when the root cause is the victim's instant kInjected.
+  // the longest wait even when the root cause is the victim's own instant report.
   for (const std::optional<RankFailure>& f : failures) {
     if (f.has_value()) {
       outcome.failure.blocked_seconds =

@@ -34,10 +34,23 @@ struct TrainerConfig {
 
 class RankTrainer {
  public:
-  RankTrainer(Topology* topology, int rank, const TrainerConfig& config);
+  // `init` kForLoad builds a trainer whose state a checkpoint load installs next: its
+  // parameters are zeros, and it may not train or save until LoadState succeeded.
+  RankTrainer(Topology* topology, int rank, const TrainerConfig& config,
+              InitMode init = InitMode::kDraw);
 
   // Runs one training iteration (1-based). Every rank returns the same global mean LM loss.
+  // Aborts on a trainer built for a load that has not loaded.
   double TrainIteration(int64_t iteration);
+
+  // Installs restored optimizer state (ZeroOptimizer::LoadState, which republishes the
+  // parameter values). The checkpoint loaders go through here; a success ends the wait of
+  // a trainer built for a load.
+  Status LoadState(const Tensor& master, const Tensor& exp_avg, const Tensor& exp_avg_sq,
+                   int64_t steps_taken);
+  // OkStatus when this trainer holds training state; kFailedPrecondition for a trainer
+  // built for a load that has not loaded. Every save entry point checks it first.
+  Status CheckHasState() const;
 
   StageModel& model() { return *model_; }
   const StageModel& model() const { return *model_; }
@@ -63,14 +76,19 @@ class RankTrainer {
 
   int micro_batch_size_ = 0;  // samples per micro-batch on this DP replica
   int64_t hidden_activation_numel_ = 0;
+  bool awaiting_load_ = false;  // built InitMode::kForLoad and no LoadState succeeded yet
 };
 
-// What a fallible training call observed. When a rank fails (injected kill or watchdog
-// detection), surviving ranks unwind via the world abort instead of deadlocking, and the
-// caller gets the root cause plus how far training verifiably got.
+// What a fallible training call observed. When a rank fails (injected kill or hang),
+// surviving ranks unwind — on the dead rank's mark, or via the watchdog's world abort —
+// instead of deadlocking, and the caller gets the root cause plus how far training
+// verifiably got.
 struct TrainOutcome {
   bool failed = false;
-  RankFailure failure;              // root cause; prefers the injected kill over watchdog echoes
+  RankFailure failure;  // root cause; prefers the victim's own report over the survivors'
+  // True when a watchdog expiry surfaced the failure (a hang); false when the survivors
+  // unwound on the dead rank's mark.
+  bool watchdog_detected = false;
   int64_t completed_iteration = 0;  // last iteration completed on EVERY rank; first-1 if none
   std::vector<double> losses;       // rank-0 losses for [first_iteration, completed_iteration]
 };
@@ -80,7 +98,10 @@ struct TrainOutcome {
 // resume logic composes through `body`.
 class TrainingRun {
  public:
-  explicit TrainingRun(const TrainerConfig& config, WorldOptions world_options = {});
+  // `init` applies to every rank: kForLoad builds a world that a checkpoint load fills
+  // next (see RankTrainer).
+  explicit TrainingRun(const TrainerConfig& config, WorldOptions world_options = {},
+                       InitMode init = InitMode::kDraw);
 
   // Runs body on all ranks (blocking). May be called repeatedly; trainers persist across
   // calls so train -> save -> train-more sequences keep optimizer state.
@@ -98,9 +119,11 @@ class TrainingRun {
       const std::function<void(RankTrainer&, int64_t)>& after_iteration);
 
   // Fault-tolerant variant: rank failures (injected or watchdog-detected) are caught at each
-  // rank thread's top level instead of aborting the process. On failure the World is left
-  // aborted (poisoned) — the caller is expected to tear this run down and rebuild, which is
-  // what the recovery Supervisor does. An iteration counts as completed only once every rank
+  // rank thread's top level instead of aborting the process. A rank killed by an injected
+  // fault is marked dead in the World as its thread exits, so peers unwind at their first
+  // wait that needs it; a hung rank is left to the watchdog. On failure the World is left
+  // poisoned — the caller is expected to tear this run down and rebuild, which is what the
+  // recovery Supervisor does. An iteration counts as completed only once every rank
   // finished it; a kill inside `after_iteration` does not un-complete the step it follows.
   TrainOutcome TryTrain(
       int64_t first_iteration, int64_t last_iteration,

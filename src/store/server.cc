@@ -15,6 +15,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
+#include "src/common/fs.h"
 #include "src/common/json.h"
 #include "src/common/logging.h"
 #include "src/obs/flight_recorder.h"
@@ -967,7 +968,7 @@ Status StoreServer::HandleWriteEnd(const WireFrame& frame, Session& session) {
     ServerMetrics::Get().chunk_crc_failures.Add(1);
     return DataLossError("write stream CRC mismatch for " + session.write_rel);
   }
-  if (::fsync(session.spool_fd) != 0) {
+  if (CountedFsync(session.spool_fd) != 0) {
     AbandonOpenWrite(session);
     return IoError("fsync failed for spool " + session.spool_path);
   }

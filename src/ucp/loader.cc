@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <set>
 
 #include "src/common/fs.h"
 #include "src/common/thread_pool.h"
@@ -146,26 +147,79 @@ std::string GatherKey(const std::vector<FileRange>& ranges) {
   return key;
 }
 
-// Reads the part of one atom state file that lands inside this rank's partition. The
-// shard-flat window [want_lo, want_hi) is contiguous in the partition; `runs` map it to file
-// ranges (dim-0 shards: one range; dim>0 shards: a strided gather of one range per row),
-// which the view serves with each chunk read and verified once. With the cache on, the
-// whole gather is one entry: ranks whose gathers are identical (replicated atoms on TP
-// peers, every atom on ZeRO-0 DP peers) read it once and the rest copy. The
-// TensorFileView opens lazily — with a warm cache a task never touches the file.
-Status ReadAssignedSlices(Store& store, const std::string& rel, const AtomAssignment& a,
-                          const std::vector<ShardRun>& runs, int64_t want_lo,
-                          int64_t want_hi, float* out, bool use_cache,
-                          std::shared_ptr<const Tensor>& pin) {
+// One assignment's read for this rank: the part of the atom's shard inside the rank's
+// partition, the shard-flat window [want_lo, want_hi), and the file ranges that back it
+// (dim-0 shards: one range; dim>0 shards: a strided gather of one range per row). The same
+// ranges serve the fp32, exp_avg and exp_avg_sq files.
+struct AtomGather {
+  const AtomAssignment* assignment = nullptr;
+  int64_t want_lo = 0;
+  int64_t want_hi = 0;
   std::vector<FileRange> ranges;
-  for (const ShardRun& run : runs) {
-    const int64_t lo = std::max(run.shard_offset, want_lo);
-    const int64_t hi = std::min(run.shard_offset + run.numel, want_hi);
-    if (lo < hi) {
-      ranges.push_back({run.full_offset + (lo - run.shard_offset), hi - lo});
+  std::string gather_key;  // GatherKey(ranges)
+  bool shared = false;     // another rank of the target world makes the identical gather
+};
+
+// The gathers rank `coord` makes under `plan`: one per assignment that intersects its
+// partition; assignments wholly outside it are skipped and their files never opened.
+std::vector<AtomGather> PlanGathers(const RankLoadPlan& plan, const ParallelConfig& target,
+                                    const RankCoord& coord) {
+  const int64_t p0 = plan.partition_offset;
+  const int64_t p1 = plan.partition_offset + plan.partition_numel;
+  std::vector<AtomGather> gathers;
+  for (const AtomAssignment& a : plan.assignments) {
+    AtomGather g;
+    g.assignment = &a;
+    g.want_lo = std::max<int64_t>(0, p0 - a.flat_offset);
+    g.want_hi = std::min<int64_t>(ShapeNumel(a.shard_shape), p1 - a.flat_offset);
+    if (g.want_lo >= g.want_hi) {
+      continue;
+    }
+    // Runs are in ascending shard order and tile the shard, so the ranges fill the window
+    // in order.
+    for (const ShardRun& run : ShardRuns(a.target_spec, a.full_shape, target.tp, coord.tp)) {
+      const int64_t lo = std::max(run.shard_offset, g.want_lo);
+      const int64_t hi = std::min(run.shard_offset + run.numel, g.want_hi);
+      if (lo < hi) {
+        g.ranges.push_back({run.full_offset + (lo - run.shard_offset), hi - lo});
+      }
+    }
+    g.gather_key = GatherKey(g.ranges);
+    gathers.push_back(std::move(g));
+  }
+  return gathers;
+}
+
+// Marks the gathers of `mine` that another rank of the target world makes too: the only
+// ones worth a slice-cache entry. Every plan derives from the config alone, so each rank
+// reaches the same verdict for a gather without any exchange.
+void MarkSharedGathers(const RankTrainer& trainer, std::vector<AtomGather>& mine) {
+  const ParallelConfig& target = trainer.config().strategy;
+  std::set<std::string> peer_gathers;  // "<atom>#<GatherKey>"
+  for (int r = 0; r < target.world_size(); ++r) {
+    if (r == trainer.rank()) {
+      continue;
+    }
+    const RankCoord coord = trainer.topology()->CoordOf(r);
+    const RankLoadPlan plan = GenUcpMetadata(trainer.config().model, target, coord);
+    for (const AtomGather& g : PlanGathers(plan, target, coord)) {
+      peer_gathers.insert(g.assignment->name + "#" + g.gather_key);
     }
   }
-  // Runs are in ascending shard order and tile the shard, so the ranges fill `out` in order.
+  for (AtomGather& g : mine) {
+    g.shared = peer_gathers.count(g.assignment->name + "#" + g.gather_key) > 0;
+  }
+}
+
+// Reads one atom state file's part of a gather into `out` (want_hi - want_lo elements of
+// this rank's partition), with each chunk read and verified once by the view. A gather
+// another rank shares goes through the slice cache as one entry, so the ranks that share
+// it (replicated atoms on TP peers, every atom on ZeRO-0 DP peers) read it once and the
+// rest copy; the TensorFileView opens lazily, so with a warm cache a task never touches
+// the file. A gather no one shares reads straight into the partition.
+Status ReadGather(Store& store, const std::string& rel, const AtomGather& g, float* out,
+                  bool use_cache, std::shared_ptr<const Tensor>& pin) {
+  const AtomAssignment& a = *g.assignment;
   auto gather = [&](float* dst) -> Status {
     UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, store.OpenRead(rel));
     UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(std::move(source)));
@@ -174,21 +228,21 @@ Status ReadAssignedSlices(Store& store, const std::string& rel, const AtomAssign
                            ShapeToString(view.info().shape) + ", plan expects " +
                            ShapeToString(a.full_shape));
     }
-    for (const FileRange& r : ranges) {
+    for (const FileRange& r : g.ranges) {
       UCP_RETURN_IF_ERROR(view.ReadElements(r.begin, r.count, dst));
       dst += r.count;
     }
     return OkStatus();
   };
-  if (!use_cache) {
+  if (!use_cache || !g.shared) {
     return gather(out);
   }
-  const int64_t count = want_hi - want_lo;
+  const int64_t count = g.want_hi - g.want_lo;
   // CacheKey keeps LocalStore keys identical to the historical absolute-path keys.
   UCP_ASSIGN_OR_RETURN(
       std::shared_ptr<const Tensor> slice,
       AtomSliceCache::Global().GetOrLoad(
-          store.CacheKey(rel) + "#" + GatherKey(ranges), [&]() -> Result<Tensor> {
+          store.CacheKey(rel) + "#" + g.gather_key, [&]() -> Result<Tensor> {
             Tensor t = Tensor::Zeros({count});
             UCP_RETURN_IF_ERROR(gather(t.data()));
             return t;
@@ -271,7 +325,6 @@ Result<UcpLocalState> LoadUcpLocal(Store& store, const std::string& ucp_rel,
   // Sliced arm: allocate only this rank's partition (padding stays zero, matching the
   // reference arm bit-for-bit) and read just the atom ranges that intersect it.
   const int64_t p0 = plan.partition_offset;
-  const int64_t p1 = plan.partition_offset + plan.partition_numel;
   UcpLocalState state;
   state.master = Tensor::Zeros({plan.partition_numel});
   state.exp_avg = Tensor::Zeros({plan.partition_numel});
@@ -279,51 +332,26 @@ Result<UcpLocalState> LoadUcpLocal(Store& store, const std::string& ucp_rel,
   state.steps = meta.iteration;
   float* buffers[3] = {state.master.data(), state.exp_avg.data(), state.exp_avg_sq.data()};
 
-  // One task per (intersecting assignment) × (fp32 | exp_avg | exp_avg_sq) file; the shard
-  // runs are computed once per assignment and shared by its three tasks.
-  struct SliceTask {
-    const AtomAssignment* assignment = nullptr;
-    const std::vector<ShardRun>* runs = nullptr;
-    int64_t want_lo = 0;  // in shard-flat coordinates
-    int64_t want_hi = 0;
-    int state_index = 0;  // indexes kStateFiles / buffers
-  };
-  std::vector<std::vector<ShardRun>> all_runs;
-  all_runs.reserve(plan.assignments.size());
-  std::vector<SliceTask> tasks;
-  for (const AtomAssignment& a : plan.assignments) {
-    const int64_t shard_numel = ShapeNumel(a.shard_shape);
-    const int64_t lo = std::max<int64_t>(0, p0 - a.flat_offset);
-    const int64_t hi = std::min<int64_t>(shard_numel, p1 - a.flat_offset);
-    if (lo >= hi) {
-      continue;  // atom wholly outside this rank's partition: skipped, never opened
-    }
-    all_runs.push_back(ShardRuns(a.target_spec, a.full_shape, target.tp, coord.tp));
-    for (int s = 0; s < 3; ++s) {
-      SliceTask task;
-      task.assignment = &a;
-      task.runs = &all_runs.back();
-      task.want_lo = lo;
-      task.want_hi = hi;
-      task.state_index = s;
-      tasks.push_back(task);
-    }
+  std::vector<AtomGather> gathers = PlanGathers(plan, target, coord);
+  if (options.use_slice_cache) {
+    MarkSharedGathers(trainer, gathers);
   }
-
-  std::vector<Status> results(tasks.size());
-  state.cache_pins.resize(tasks.size());  // one slot per task, so workers never share one
+  // One task per gather × (fp32 | exp_avg | exp_avg_sq) file.
+  const size_t num_tasks = gathers.size() * 3;
+  std::vector<Status> results(num_tasks);
+  state.cache_pins.resize(num_tasks);  // one slot per task, so workers never share one
   ThreadPool pool(static_cast<size_t>(std::max(options.num_threads, 0)));
-  pool.ParallelFor(tasks.size(), [&](size_t i) {
-    const SliceTask& t = tasks[i];
-    const AtomAssignment& a = *t.assignment;
+  pool.ParallelFor(num_tasks, [&](size_t i) {
+    const AtomGather& g = gathers[i / 3];
+    const int state_index = static_cast<int>(i % 3);
+    const AtomAssignment& a = *g.assignment;
     UCP_TRACE_SPAN_ARGS("ucp.load.slice", ::ucp::obs::TraceArgs()
                                               .S("atom", a.name)
-                                              .S("state", kStateFiles[t.state_index])
-                                              .I("numel", t.want_hi - t.want_lo));
-    std::string rel = JoinRel(AtomRel(ucp_rel, a.name), kStateFiles[t.state_index]);
-    float* out = buffers[t.state_index] + (a.flat_offset + t.want_lo - p0);
-    results[i] = ReadAssignedSlices(store, rel, a, *t.runs, t.want_lo, t.want_hi, out,
-                                    options.use_slice_cache, state.cache_pins[i]);
+                                              .S("state", kStateFiles[state_index])
+                                              .I("numel", g.want_hi - g.want_lo));
+    std::string rel = JoinRel(AtomRel(ucp_rel, a.name), kStateFiles[state_index]);
+    float* out = buffers[state_index] + (a.flat_offset + g.want_lo - p0);
+    results[i] = ReadGather(store, rel, g, out, options.use_slice_cache, state.cache_pins[i]);
   });
   for (const Status& s : results) {
     UCP_RETURN_IF_ERROR(s);
@@ -364,8 +392,8 @@ Status LoadUcpCheckpoint(Store& store, const std::string& ucp_rel, RankTrainer& 
     return DataLossError("aborting UCP load: a peer rank failed to read the checkpoint");
   }
   local->cache_pins.clear();
-  UCP_RETURN_IF_ERROR(trainer.optimizer().LoadState(local->master, local->exp_avg,
-                                                    local->exp_avg_sq, local->steps));
+  UCP_RETURN_IF_ERROR(
+      trainer.LoadState(local->master, local->exp_avg, local->exp_avg_sq, local->steps));
   loads.Add(1);
   load_seconds.Observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - load_start).count());

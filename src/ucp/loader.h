@@ -51,7 +51,8 @@ struct UcpLoadOptions {
   // padded flat assembly, partition sliced at the end. Both are bit-exact (tested).
   bool sliced = true;
   // Dedup identical (file, gather) reads across concurrently-loading co-located ranks.
-  // Only consulted on the sliced path.
+  // Only consulted on the sliced path, and only for gathers that another rank of the
+  // target world makes too; a gather no peer shares reads straight into the partition.
   bool use_slice_cache = true;
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 
 #include "src/comm/comm.h"
@@ -242,6 +243,112 @@ TEST(CommTest, BarrierSynchronizes) {
     group.Barrier();
     UCP_CHECK_EQ(arrived.load(), n);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Failure detection: death marks at the first wait that needs the dead rank, the watchdog
+// for ranks that stop unmarked.
+// ---------------------------------------------------------------------------
+
+using std::chrono::milliseconds;
+
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+RankFailure KilledAt(int rank) {
+  RankFailure failure;
+  failure.kind = RankFailure::Kind::kInjected;
+  failure.rank = rank;
+  failure.site = "test";
+  return failure;
+}
+
+// Rank 0 dies; rank 1 waits on it in group {0, 1}, rank 2 waits on rank 1 in group {1, 2}.
+// Both unwind with rank 0's failure long before the watchdog, rank 1 even with its watchdog
+// suspended, and the world is never aborted.
+TEST(CommFailureTest, DeathMarkUnwindsWaitersAtOnceAndCascades) {
+  World world(3, WorldOptions{milliseconds(10000)});
+  auto first = world.CreateGroup({0, 1});
+  auto second = world.CreateGroup({1, 2});
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::optional<RankFailure>> failures = RunSpmdFallible(3, [&](int rank) {
+    if (rank == 0) {
+      world.MarkDead(0, KilledAt(0));
+      return;
+    }
+    Tensor t = Tensor::Full({4}, 1.0f);
+    if (rank == 1) {
+      ScopedWatchdogSuspend suspend;
+      ProcessGroup(first, rank).AllReduceSum(t);
+    } else {
+      ProcessGroup(second, rank).AllReduceSum(t);
+    }
+  });
+  EXPECT_LT(SecondsSince(t0), 1.0);
+  EXPECT_FALSE(world.aborted());
+  EXPECT_FALSE(failures[0].has_value());
+  for (int r : {1, 2}) {
+    ASSERT_TRUE(failures[static_cast<size_t>(r)].has_value()) << "rank " << r;
+    EXPECT_EQ(failures[static_cast<size_t>(r)]->kind, RankFailure::Kind::kInjected);
+    EXPECT_EQ(failures[static_cast<size_t>(r)]->rank, 0);
+  }
+}
+
+TEST(CommFailureTest, WaitsWithoutDeadMemberProceed) {
+  World world(3, WorldOptions{milliseconds(10000)});
+  world.MarkDead(2, KilledAt(2));
+  auto live = world.CreateGroup({0, 1});
+  std::vector<float> sums(2, 0.0f);
+  RunSpmd(2, [&](int rank) {
+    Tensor t = Tensor::Full({1}, static_cast<float>(rank + 1));
+    ProcessGroup(live, rank).AllReduceSum(t);
+    sums[static_cast<size_t>(rank)] = t.at(0);
+    if (rank == 0) {
+      world.Send(0, 1, Tensor::Full({1}, 7.0f));
+    } else {
+      UCP_CHECK_EQ(world.Recv(0, 1).at(0), 7.0f);
+    }
+  });
+  EXPECT_EQ(sums, (std::vector<float>{3.0f, 3.0f}));
+}
+
+// A message sent before the sender died is still delivered; the next receive fails at once.
+TEST(CommFailureTest, RecvFromDeadSenderDeliversQueuedThenThrows) {
+  World world(2, WorldOptions{milliseconds(10000)});
+  world.Send(0, 1, Tensor::Full({1}, 5.0f));
+  world.MarkDead(0, KilledAt(0));
+  EXPECT_EQ(world.Recv(0, 1).at(0), 5.0f);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    world.Recv(0, 1);
+    ADD_FAILURE() << "receive from a dead sender returned";
+  } catch (const RankFailureError& e) {
+    EXPECT_EQ(e.failure().rank, 0);
+    EXPECT_EQ(e.failure().kind, RankFailure::Kind::kInjected);
+  }
+  EXPECT_LT(SecondsSince(t0), 1.0);
+  EXPECT_FALSE(world.aborted());
+}
+
+// A rank that stops without a mark (a hang) is seen only when the watchdog expires, and the
+// detector aborts the world blaming it.
+TEST(CommFailureTest, UnmarkedStopIsSeenOnlyByTheWatchdog) {
+  const milliseconds watchdog(200);
+  World world(2, WorldOptions{watchdog});
+  auto group = world.CreateGroup({0, 1});
+  std::vector<std::optional<RankFailure>> failures = RunSpmdFallible(2, [&](int rank) {
+    if (rank == 0) {
+      return;
+    }
+    Tensor t = Tensor::Full({1}, 1.0f);
+    ProcessGroup(group, rank).AllReduceSum(t);
+  });
+  ASSERT_TRUE(failures[1].has_value());
+  EXPECT_EQ(failures[1]->kind, RankFailure::Kind::kWatchdog);
+  EXPECT_EQ(failures[1]->rank, 0);
+  EXPECT_GE(failures[1]->blocked_seconds, 0.2);
+  EXPECT_TRUE(world.aborted());
 }
 
 }  // namespace

@@ -1,28 +1,36 @@
-// Fault-tolerance matrix for the elastic runtime: deterministic rank kills at chosen sites
-// (mid-collective, mid-P2P, around async checkpoint saves) must never deadlock — the
-// watchdog converts the hang into a detected RankFailure, the supervisor shrinks the
-// parallelism strategy, and training resumes from the newest committed checkpoint with
-// losses bit-identical to a clean reference on the shrunk strategy. Also covers the
-// strategy-shrink policy, transient-I/O retry, and the fsck quarantine exit codes the
-// recovery path leans on.
+// Fault-tolerance matrix for the elastic runtime: deterministic rank kills and hangs at
+// chosen sites (mid-collective, mid-P2P, around async checkpoint saves) must never
+// deadlock — a kill is seen at the first wait that needs the dead rank, a hang when the
+// watchdog expires — the supervisor shrinks the parallelism strategy, and training resumes
+// from the newest committed checkpoint with losses bit-identical to a clean reference on
+// the shrunk strategy. Also covers worlds built for a load, the strategy-shrink policy,
+// transient-I/O retry, and the fsck quarantine exit codes the recovery path leans on.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/ckpt/async/engine.h"
 #include "src/ckpt/checkpoint.h"
 #include "src/common/fault_fs.h"
 #include "src/common/fs.h"
 #include "src/runtime/supervisor.h"
+#include "src/ucp/converter.h"
 #include "src/ucp/elastic.h"
+#include "src/ucp/loader.h"
 #include "src/ucp/validate.h"
 
 namespace ucp {
 namespace {
 
 using std::chrono::milliseconds;
+
+// Long enough that no ordinary wait trips it, under sanitizers too.
+constexpr milliseconds kWatchdog{1500};
+constexpr double kWatchdogSeconds = 1.5;
 
 TrainerConfig ConfigFor(const ParallelConfig& strategy) {
   TrainerConfig cfg;
@@ -156,7 +164,7 @@ TEST_F(FaultToleranceTest, PermanentFaultsAreNotRetried) {
 }
 
 // ---------------------------------------------------------------------------
-// Kill matrix: no deadlock, automatic shrink + resume, correct root cause
+// Kill and hang matrices: no deadlock, automatic shrink + resume, correct root cause
 // ---------------------------------------------------------------------------
 
 struct KillCase {
@@ -168,66 +176,193 @@ struct KillCase {
   const char* expected_resume_tag;  // which committed tag recovery restores
 };
 
+const KillCase kKillCases[] = {
+    // TP2.DP2 (4 ranks), killed inside the gradient all-reduce: first and last rank.
+    // The checkpoint at iteration 2 is committed, so recovery replays 3..6.
+    {"tp2dp2_rank0_allreduce", {2, 1, 2, 1, 0, 1}, 0, FaultSite::kAllReduce, 3,
+     "global_step2"},
+    {"tp2dp2_rank3_allreduce", {2, 1, 2, 1, 0, 1}, 3, FaultSite::kAllReduce, 3,
+     "global_step2"},
+    // Killed before its SaveAsync snapshot at iteration 4: the step-4 gather stays
+    // incomplete, the supervisor abandons it, and recovery falls back to step 2.
+    {"tp2dp2_rank0_before_save", {2, 1, 2, 1, 0, 1}, 0, FaultSite::kBeforeSave, 4,
+     "global_step2"},
+    // Killed after its snapshot deposit, while the flush is in flight: the gather is
+    // complete, so the step-4 save still commits and recovery resumes from it.
+    {"tp2dp2_rank3_async_flush", {2, 1, 2, 1, 0, 1}, 3, FaultSite::kAsyncFlush, 4,
+     "global_step4"},
+    // TP1.PP2 (2 ranks), killed inside a pipeline P2P receive: stage 0 dies receiving
+    // the backward grad, stage 1 dies receiving the forward activation.
+    {"pp2_rank0_p2p_recv", {1, 2, 1, 1, 0, 1}, 0, FaultSite::kP2PRecv, 3, "global_step2"},
+    {"pp2_rank1_p2p_recv", {1, 2, 1, 1, 0, 1}, 1, FaultSite::kP2PRecv, 3, "global_step2"},
+};
+
 class KillMatrixTest : public FaultToleranceTest,
-                       public ::testing::WithParamInterface<KillCase> {};
+                       public ::testing::WithParamInterface<KillCase> {
+ protected:
+  // Trains 1..6 under the supervisor with the case's fault armed as `kind`, and checks
+  // what kills and hangs share: one recovery, the victim as root cause, the expected
+  // resume tag, a smaller strategy and a final loss for every iteration.
+  RecoveryTiming Recover(RankFaultKind kind) {
+    const KillCase& c = GetParam();
+    SupervisorOptions options;
+    options.ckpt_dir = Sub("ckpt");
+    options.checkpoint_every = 2;
+    options.watchdog_timeout = kWatchdog;
+    Supervisor supervisor(ConfigFor(c.strategy), options);
 
+    SupervisorReport report;
+    {
+      ScopedRankFault fault({c.victim, c.kill_iteration, c.site, 1, kind});
+      report = supervisor.Train(1, 6);
+      EXPECT_TRUE(RankFaultFired()) << c.label << ": the fault plan never matched";
+    }
+
+    EXPECT_TRUE(report.ok) << c.label << ": " << report.status.ToString();
+    EXPECT_EQ(report.recoveries, 1) << c.label;
+    if (report.timings.size() != 1u) {
+      ADD_FAILURE() << c.label << ": " << report.timings.size() << " recovery timings";
+      return RecoveryTiming{};
+    }
+    const RecoveryTiming& timing = report.timings[0];
+    EXPECT_EQ(timing.failure.rank, c.victim) << c.label;
+    EXPECT_EQ(timing.failure.iteration, c.kill_iteration) << c.label;
+    EXPECT_EQ(timing.resumed_tag, c.expected_resume_tag) << c.label;
+    EXPECT_LT(report.final_strategy.world_size(), c.strategy.world_size()) << c.label;
+    EXPECT_EQ(report.losses.size(), 6u) << c.label;
+    for (size_t i = 0; i < report.losses.size(); ++i) {
+      EXPECT_GT(report.losses[i], 0.0) << c.label << ": no final loss for iteration " << i + 1;
+    }
+    return timing;
+  }
+};
+
+// A killed rank is marked dead: every survivor unwinds at its first wait that needs it,
+// far below the watchdog.
 TEST_P(KillMatrixTest, SupervisorDetectsShrinksAndResumes) {
-  const KillCase& c = GetParam();
-  TrainerConfig cfg = ConfigFor(c.strategy);
+  const RecoveryTiming timing = Recover(RankFaultKind::kKill);
+  EXPECT_EQ(timing.failure.kind, RankFailure::Kind::kInjected) << GetParam().label;
+  EXPECT_FALSE(timing.watchdog_detected) << GetParam().label;
+  EXPECT_LT(timing.detect_seconds, kWatchdogSeconds / 10) << GetParam().label;
+}
 
-  SupervisorOptions options;
-  options.ckpt_dir = Sub("ckpt");
-  options.checkpoint_every = 2;
-  options.watchdog_timeout = milliseconds(1500);
-  Supervisor supervisor(cfg, options);
-
-  SupervisorReport report;
-  {
-    ScopedRankFault kill({c.victim, c.kill_iteration, c.site, 1});
-    report = supervisor.Train(1, 6);
-    EXPECT_TRUE(RankFaultFired()) << c.label << ": the kill plan never matched";
-  }
-
-  ASSERT_TRUE(report.ok) << c.label << ": " << report.status.ToString();
-  EXPECT_EQ(report.recoveries, 1) << c.label;
-  ASSERT_EQ(report.timings.size(), 1u) << c.label;
-  const RecoveryTiming& timing = report.timings[0];
-  EXPECT_EQ(timing.failure.kind, RankFailure::Kind::kInjected) << c.label;
-  EXPECT_EQ(timing.failure.rank, c.victim) << c.label;
-  EXPECT_EQ(timing.failure.iteration, c.kill_iteration) << c.label;
-  EXPECT_EQ(timing.resumed_tag, c.expected_resume_tag) << c.label;
-  EXPECT_LT(report.final_strategy.world_size(), c.strategy.world_size()) << c.label;
-
-  ASSERT_EQ(report.losses.size(), 6u) << c.label;
-  for (size_t i = 0; i < report.losses.size(); ++i) {
-    EXPECT_GT(report.losses[i], 0.0) << c.label << ": no final loss for iteration " << i + 1;
-  }
+// A hung rank leaves no mark: only the watchdog sees it, and recovery then resumes from
+// the same tag as after a kill at the same site.
+TEST_P(KillMatrixTest, WatchdogDetectsHangAndResumesFromTheSameTag) {
+  const RecoveryTiming timing = Recover(RankFaultKind::kHang);
+  EXPECT_EQ(timing.failure.kind, RankFailure::Kind::kHang) << GetParam().label;
+  EXPECT_TRUE(timing.watchdog_detected) << GetParam().label;
+  EXPECT_GE(timing.detect_seconds, kWatchdogSeconds) << GetParam().label;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    KillMatrix, KillMatrixTest,
-    ::testing::Values(
-        // TP2.DP2 (4 ranks), killed inside the gradient all-reduce: first and last rank.
-        // The checkpoint at iteration 2 is committed, so recovery replays 3..6.
-        KillCase{"tp2dp2_rank0_allreduce", {2, 1, 2, 1, 0, 1}, 0, FaultSite::kAllReduce, 3,
-                 "global_step2"},
-        KillCase{"tp2dp2_rank3_allreduce", {2, 1, 2, 1, 0, 1}, 3, FaultSite::kAllReduce, 3,
-                 "global_step2"},
-        // Killed before its SaveAsync snapshot at iteration 4: the step-4 gather stays
-        // incomplete, the supervisor abandons it, and recovery falls back to step 2.
-        KillCase{"tp2dp2_rank0_before_save", {2, 1, 2, 1, 0, 1}, 0, FaultSite::kBeforeSave, 4,
-                 "global_step2"},
-        // Killed after its snapshot deposit, while the flush is in flight: the gather is
-        // complete, so the step-4 save still commits and recovery resumes from it.
-        KillCase{"tp2dp2_rank3_async_flush", {2, 1, 2, 1, 0, 1}, 3, FaultSite::kAsyncFlush, 4,
-                 "global_step4"},
-        // TP1.PP2 (2 ranks), killed inside a pipeline P2P receive: stage 0 dies receiving
-        // the backward grad, stage 1 dies receiving the forward activation.
-        KillCase{"pp2_rank0_p2p_recv", {1, 2, 1, 1, 0, 1}, 0, FaultSite::kP2PRecv, 3,
-                 "global_step2"},
-        KillCase{"pp2_rank1_p2p_recv", {1, 2, 1, 1, 0, 1}, 1, FaultSite::kP2PRecv, 3,
-                 "global_step2"}),
+    KillMatrix, KillMatrixTest, ::testing::ValuesIn(kKillCases),
     [](const ::testing::TestParamInfo<KillCase>& info) { return info.param.label; });
+
+// ---------------------------------------------------------------------------
+// Worlds built for a load
+// ---------------------------------------------------------------------------
+
+void ExpectSameState(TrainingRun& a, TrainingRun& b, const std::string& label) {
+  for (int r = 0; r < a.world_size(); ++r) {
+    const ZeroOptimizer& x = a.trainer(r).optimizer();
+    const ZeroOptimizer& y = b.trainer(r).optimizer();
+    EXPECT_TRUE(Tensor::BitEqual(x.MasterState(), y.MasterState())) << label << " rank " << r;
+    EXPECT_TRUE(Tensor::BitEqual(x.ExpAvgState(), y.ExpAvgState())) << label << " rank " << r;
+    EXPECT_TRUE(Tensor::BitEqual(x.ExpAvgSqState(), y.ExpAvgSqState()))
+        << label << " rank " << r;
+    EXPECT_TRUE(Tensor::BitEqual(x.flat_value(), y.flat_value())) << label << " rank " << r;
+    EXPECT_EQ(x.steps_taken(), y.steps_taken()) << label << " rank " << r;
+  }
+}
+
+// Skipping the weight draw is invisible after a load: native and UCP loads into a world
+// built for the load leave every master, moment, step count and published value (tied
+// secondaries and ZeRO padding included) bit-identical to a drawn world's, and the next
+// step's loss matches bit for bit.
+TEST_F(FaultToleranceTest, ForLoadWorldMatchesDrawnWorldAfterNativeAndUcpLoads) {
+  auto config = [](const ParallelConfig& strategy) {
+    TrainerConfig cfg = ConfigFor(strategy);
+    cfg.model.tied_embeddings = true;
+    return cfg;
+  };
+  {
+    TrainingRun source(config({2, 1, 2, 1, 1, 1}));
+    source.Train(1, 2);
+    SaveAll(source, Sub("src"), 2);
+    Result<ConvertStats> converted = ConvertToUcp(Sub("src"), "global_step2", Sub("ucp"));
+    ASSERT_TRUE(converted.ok()) << converted.status();
+  }
+  std::vector<ParallelConfig> targets;
+  for (int tp : {1, 2}) {
+    for (int dp : {1, 2}) {
+      for (int zero : {0, 1}) {
+        targets.push_back({tp, 1, dp, 1, zero, 1});
+      }
+    }
+  }
+  targets.push_back({1, 2, 2, 1, 1, 1});  // PP2: the last stage holds a tied secondary
+  for (const ParallelConfig& target : targets) {
+    const TrainerConfig cfg = config(target);
+    const std::string native_dir = Sub("native_" + target.ToString());
+    {
+      TrainingRun run(cfg);
+      run.Train(1, 2);
+      SaveAll(run, native_dir, 2);
+    }
+    for (const bool ucp : {false, true}) {
+      const std::string label = target.ToString() + (ucp ? " ucp" : " native");
+      TrainingRun drawn(cfg);
+      TrainingRun for_load(cfg, {}, InitMode::kForLoad);
+      for (TrainingRun* run : {&drawn, &for_load}) {
+        run->Run([&](RankTrainer& t) {
+          Status s = ucp ? LoadUcpCheckpoint(Sub("ucp"), t)
+                         : LoadDistributedCheckpoint(native_dir, "global_step2", t);
+          UCP_CHECK(s.ok()) << s.ToString();
+        });
+      }
+      ExpectSameState(drawn, for_load, label);
+      const std::vector<double> a = drawn.Train(3, 3);
+      const std::vector<double> b = for_load.Train(3, 3);
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof(double)), 0)
+          << label << ": " << a[0] << " vs " << b[0];
+      ExpectSameState(drawn, for_load, label + " after a step");
+    }
+  }
+}
+
+// Until a load succeeds, a world built for one holds zeros, not state: every save entry
+// point refuses it before any collective or I/O, and training aborts. A load lifts both.
+TEST_F(FaultToleranceTest, UnloadedForLoadTrainerRefusesToTrainOrSave) {
+  const TrainerConfig cfg = ConfigFor({1, 1, 2, 1, 0, 1});
+  {
+    TrainingRun source(cfg);
+    source.Train(1, 1);
+    SaveAll(source, Sub("src"), 1);
+  }
+  TrainingRun run(cfg, {}, InitMode::kForLoad);
+  AsyncCheckpointEngine engine(Sub("async"), run.world_size());
+  run.Run([&](RankTrainer& t) {
+    EXPECT_EQ(SaveDistributedCheckpoint(Sub("sync"), t, 1).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(engine.SaveAsync(t, 1).code(), StatusCode::kFailedPrecondition);
+  });
+  EXPECT_EQ(engine.stats().saves_started, 0);
+  EXPECT_FALSE(FindLatestValidTag(Sub("sync")).ok());
+
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(run.trainer(0).TrainIteration(2), "built for a checkpoint load");
+
+  run.Run([&](RankTrainer& t) {
+    Status s = LoadDistributedCheckpoint(Sub("src"), "global_step1", t);
+    UCP_CHECK(s.ok()) << s.ToString();
+  });
+  run.Train(2, 2, [&](RankTrainer& t, int64_t it) {
+    Status s = SaveDistributedCheckpoint(Sub("sync"), t, it);
+    UCP_CHECK(s.ok()) << s.ToString();
+  });
+  EXPECT_TRUE(FindLatestValidTag(Sub("sync")).ok());
+}
 
 // ---------------------------------------------------------------------------
 // Bit-exact recovery: supervisor resume == clean reference on the shrunk strategy
@@ -277,7 +412,7 @@ TEST_P(ShrinkExactTest, ResumedLossesMatchCleanShrunkReferenceBitExact) {
   SupervisorOptions options;
   options.ckpt_dir = Sub("sup_ckpt");
   options.checkpoint_every = 4;
-  options.watchdog_timeout = milliseconds(1500);
+  options.watchdog_timeout = kWatchdog;
   options.shrink_order = c.order;
   Supervisor supervisor(cfg, options);
 

@@ -35,6 +35,7 @@
 #include "src/ckpt/checkpoint.h"
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
+#include "src/common/fault_fs.h"
 #include "src/common/fs.h"
 #include "src/common/json.h"
 #include "src/model/config.h"
@@ -1224,6 +1225,56 @@ TEST_F(StoreServerTest, ReadRangeServedFromVerifiedChunkMatchesFile) {
     ASSERT_TRUE((*source)->ReadAt(offset, got.data(), got.size()).ok());
     EXPECT_EQ(got, file.substr(offset, len));
   }
+}
+
+// `fs.fsync.calls` moves by exactly the fsyncs a save makes. A local sync save fsyncs every
+// file it writes through the fs layer, which the fault injector's op count sees too; a
+// remote save adds the daemon's spool fsync, one per streamed file (one WRITE_END each).
+TEST_F(StoreServerTest, FsyncCounterCountsEveryFsyncOfLocalAndRemoteSaves) {
+  TrainerConfig config;
+  config.model = TinyGpt();
+  config.strategy = ParallelConfig{1, 1, 2, 1, 1, 1};
+  config.global_batch = 8;
+  TrainingRun run(config);
+  run.Train(1, 1);
+  obs::Counter& fsyncs = obs::MetricsRegistry::Global().GetCounter("fs.fsync.calls");
+  obs::Histogram& write_ends =
+      obs::MetricsRegistry::Global().GetHistogram("store.server.rpc.write_end.seconds");
+  // Counts every fsync that reaches the fs layer's injector hook; never fires.
+  const FaultPlan count_fsyncs{FaultPlan::Kind::kFailStop, FsOp::kFsync,
+                               std::numeric_limits<int>::max(), "", 0, 1};
+
+  const std::string local_dir = *MakeTempDir("store_fsync_local");
+  uint64_t before = fsyncs.Value();
+  {
+    ScopedFault count(count_fsyncs);
+    run.Run([&](RankTrainer& trainer) {
+      Status saved = SaveDistributedCheckpoint(local_dir, trainer, 1);
+      UCP_CHECK(saved.ok()) << saved.ToString();
+    });
+    EXPECT_GT(FaultOpsSeen(), 0);
+    EXPECT_EQ(fsyncs.Value() - before, static_cast<uint64_t>(FaultOpsSeen()));
+  }
+  ASSERT_TRUE(RemoveAll(local_dir).ok());
+
+  std::shared_ptr<RemoteStore> remote = Connect();
+  before = fsyncs.Value();
+  const uint64_t write_ends_before = write_ends.Count();
+  {
+    ScopedFault count(count_fsyncs);
+    run.Run([&](RankTrainer& trainer) {
+      Status saved = SaveDistributedCheckpoint(*remote, trainer, 1);
+      UCP_CHECK(saved.ok()) << saved.ToString();
+    });
+    // The daemon records an RPC after replying: join its session threads before reading.
+    remote.reset();
+    server_->Shutdown();
+    server_.reset();
+    const uint64_t spooled = write_ends.Count() - write_ends_before;
+    EXPECT_GT(spooled, 0u);
+    EXPECT_EQ(fsyncs.Value() - before, static_cast<uint64_t>(FaultOpsSeen()) + spooled);
+  }
+  EXPECT_TRUE(IsTagComplete(dir_, "global_step1"));
 }
 
 TEST_F(StoreServerTest, SlicedLoadOverRemoteBitExactWithLocalAcrossSweep) {

@@ -453,5 +453,47 @@ TEST_F(LoadEnv, SliceCacheDoesNotCacheFailures) {
   EXPECT_EQ(attempts, 2);
 }
 
+// Property 5c: only gathers another rank of the target world makes use the cache. On a
+// TP2·DP1 target only the replicated atoms are gathered identically by both ranks: those
+// miss once and hit once, and the TP-sharded atoms read straight into the partition. A
+// one-rank target shares nothing and never looks the cache up. Both stay bit-exact with
+// the cache off.
+TEST_F(LoadEnv, SliceCacheHoldsOnlyGathersAPeerShares) {
+  ModelConfig model = TinyGpt();
+  MakeUcp(model);
+  const uint64_t kStates = 3;
+  for (const ParallelConfig& target :
+       {ParallelConfig{2, 1, 1, 1, 0, 1}, ParallelConfig{1, 1, 1, 1, 0, 1}}) {
+    SCOPED_TRACE(target.ToString());
+    const RankLoadPlan plan = GenUcpMetadata(model, target, RankCoord{});
+    uint64_t shared = 0;
+    for (const AtomAssignment& a : plan.assignments) {
+      if (target.tp == 2 && SameRuns(ShardRuns(a.target_spec, a.full_shape, 2, 0),
+                                     ShardRuns(a.target_spec, a.full_shape, 2, 1))) {
+        ++shared;
+      }
+    }
+    ASSERT_EQ(shared > 0, target.tp == 2);
+    ASSERT_LT(shared, plan.assignments.size());
+
+    AtomSliceCache& cache = AtomSliceCache::Global();
+    cache.ResetStats();
+    TrainingRun cached(ConfigFor(model, target));
+    LoadAll(cached, Sub("ucp"), {.num_threads = 2, .sliced = true, .use_slice_cache = true});
+    EXPECT_EQ(cache.stats().misses, kStates * shared);
+    EXPECT_EQ(cache.stats().hits, kStates * shared);
+
+    TrainingRun uncached(ConfigFor(model, target));
+    LoadAll(uncached, Sub("ucp"), {.num_threads = 2, .sliced = true, .use_slice_cache = false});
+    for (int r = 0; r < cached.world_size(); ++r) {
+      const ZeroOptimizer& a = cached.trainer(r).optimizer();
+      const ZeroOptimizer& b = uncached.trainer(r).optimizer();
+      EXPECT_TRUE(Tensor::BitEqual(a.MasterState(), b.MasterState())) << "rank " << r;
+      EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgState(), b.ExpAvgState())) << "rank " << r;
+      EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgSqState(), b.ExpAvgSqState())) << "rank " << r;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ucp
